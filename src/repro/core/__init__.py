@@ -22,7 +22,6 @@ from .correlation import (
     PeakCorrelation,
     degree_bins,
     peak_correlation,
-    source_overlap,
 )
 from .empirical import empirical_log_law, log_law_errors
 from .temporal import TemporalCurve, temporal_correlation
@@ -34,7 +33,6 @@ __all__ = [
     "PeakCorrelation",
     "degree_bins",
     "peak_correlation",
-    "source_overlap",
     "empirical_log_law",
     "log_law_errors",
     "TemporalCurve",

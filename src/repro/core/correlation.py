@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..fits import per_source_trajectories
 from ..hypersparse.coo import SparseVec
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "PeakCorrelation",
     "degree_bins",
     "peak_correlation",
-    "source_overlap",
 ]
 
 
@@ -63,17 +63,6 @@ def degree_bins(
     lo_i = int(np.floor(np.log2(d_min)))
     hi_i = int(np.floor(np.log2(d_max)))
     return [DegreeBin(2.0**i, 2.0 ** (i + 1)) for i in range(lo_i, hi_i + 1)]
-
-
-def source_overlap(
-    telescope_sources: np.ndarray, honeyfarm_sources: np.ndarray
-) -> Tuple[np.ndarray, float]:
-    """Common sources and the overlap fraction of the telescope set."""
-    tel = np.asarray(telescope_sources, dtype=np.uint64)
-    hf = np.asarray(honeyfarm_sources, dtype=np.uint64)
-    common = np.intersect1d(tel, hf)
-    frac = float(common.size) / float(tel.size) if tel.size else 0.0
-    return common, frac
 
 
 @dataclass(frozen=True)
@@ -143,7 +132,8 @@ def peak_correlation(
     source_packets:
         The telescope window's ``A_t 1`` (per-source packet counts).
     honeyfarm_sources:
-        Sorted unique source addresses of the coeval honeyfarm month.
+        Sorted unique source addresses of the coeval honeyfarm month
+        (``ValueError`` otherwise).
     n_valid:
         The window's ``N_V``.
     bins:
@@ -152,9 +142,8 @@ def peak_correlation(
     if bins is None:
         d_max = max(source_packets.max(), 1.0)
         bins = degree_bins(d_max)
-    hf = np.asarray(honeyfarm_sources, dtype=np.uint64)
-    # One membership test for all telescope sources, then bin the results.
-    seen = np.isin(source_packets.keys, hf, assume_unique=False)
+    # One membership column for all telescope sources, then bin the results.
+    seen = per_source_trajectories(source_packets.keys, [honeyfarm_sources])[:, 0]
     results = []
     for b in bins:
         in_bin = (source_packets.vals >= b.lo) & (source_packets.vals < b.hi)

@@ -4,7 +4,9 @@ Fix one telescope sample and one brightness bin; for every honeyfarm month
 in the study, measure the fraction of the bin's telescope sources present
 in that month's source set.  The resulting 15-point curve peaks at the
 coeval month and decays with lag — the paper's central measurement, fit to
-the modified Cauchy profile in :mod:`repro.fits`.
+the modified Cauchy profile in :mod:`repro.fits`.  Each curve is the
+column mean of :func:`repro.fits.per_source_trajectories` over the bin's
+sources, the same membership matrix the bootstrap resamples.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..fits import FitResult, fit_all_families, fit_temporal
+from ..fits import FitResult, fit_all_families, fit_temporal, per_source_trajectories
 from ..hypersparse.coo import SparseVec
 from .correlation import DegreeBin
 
@@ -80,7 +82,8 @@ def temporal_correlation(
     source_packets:
         The telescope window's per-source packet counts (``A_t 1``).
     monthly_sources:
-        One sorted unique source array per honeyfarm month.
+        One sorted unique source array per honeyfarm month (``ValueError``
+        otherwise, naming the month index).
     month_times:
         Fractional-month center of each honeyfarm month.
     t0:
@@ -94,11 +97,8 @@ def temporal_correlation(
     selected = bin.select(source_packets) if bin is not None else source_packets
     tel = selected.keys
     n = tel.size
-    fractions = np.zeros(len(monthly_sources), dtype=np.float64)
-    if n:
-        for i, hf in enumerate(monthly_sources):
-            hf = np.asarray(hf, dtype=np.uint64)
-            fractions[i] = np.intersect1d(tel, hf).size / n
+    counts = per_source_trajectories(tel, monthly_sources).sum(axis=0)
+    fractions = counts / n if n else np.zeros(len(monthly_sources))
     return TemporalCurve(
         times=np.asarray(month_times, dtype=np.float64),
         fractions=fractions,

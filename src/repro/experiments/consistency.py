@@ -141,14 +141,14 @@ def run(study: CorrelationStudy) -> ConsistencyResult:
     coeval = []
     for si, sample in enumerate(samples):
         month_sources = study.monthly_sources[study.coeval_month_index(si)]
-        frac = float(np.isin(sample.sources(), month_sources).mean())
+        frac = float(per_source_trajectories(sample.sources(), [month_sources]).mean())
         coeval.append((study.model.scenario.telescope_labels[si], frac))
 
     # 3. Reverse: fraction of each month's sources ever seen by a telescope.
     all_tel = np.unique(np.concatenate([s.sources() for s in samples]))
     reverse = []
     for month, sources in zip(study.months, study.monthly_sources):
-        frac = float(np.isin(sources, all_tel).mean()) if sources.size else 0.0
+        frac = float(per_source_trajectories(sources, [all_tel]).mean()) if sources.size else 0.0
         reverse.append((month.label, frac))
 
     # 4. Bootstrap the Fig 5 fit.

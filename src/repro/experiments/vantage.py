@@ -33,6 +33,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..core import CorrelationStudy, DegreeBin
+from ..fits import per_source_trajectories
 from .common import Check, ascii_table
 
 __all__ = ["run", "VantageResult"]
@@ -104,15 +105,13 @@ def run(study: CorrelationStudy) -> VantageResult:
     rows: List[Tuple[int, int, float, float, int]] = []
     for lg in range(max(8, top - SWEEP_OCTAVES), top + 1, 2):
         sample = study.model.telescope_sample(4.55, n_valid=1 << lg)
-        tel = sample.sources()
-        overall = float(np.isin(tel, coeval).mean()) if tel.size else 0.0
+        seen = per_source_trajectories(sample.sources(), [coeval])[:, 0]
+        overall = float(seen.mean()) if seen.size else 0.0
         scale = 2.0 ** (lg - top)
-        cohort_bin = DegreeBin(TOP_BIN.lo * scale, TOP_BIN.hi * scale)
-        in_bin = cohort_bin.select(sample.source_packets)
-        bin_overlap = (
-            float(np.isin(in_bin.keys, coeval).mean()) if in_bin.nnz else 0.0
-        )
-        rows.append((lg, tel.size, overall, bin_overlap, in_bin.nnz))
+        d = sample.source_packets.vals
+        cohort = (d >= TOP_BIN.lo * scale) & (d < TOP_BIN.hi * scale)
+        bin_overlap = float(seen[cohort].mean()) if cohort.any() else 0.0
+        rows.append((lg, seen.size, overall, bin_overlap, int(cohort.sum())))
     return VantageResult(rows=rows)
 
 

@@ -1,4 +1,8 @@
-"""Bootstrap uncertainty for the temporal-correlation fits.
+"""Per-source overlap trajectories and bootstrap uncertainty for the fits.
+
+:func:`per_source_trajectories` is the one source-overlap primitive: the
+Figs 4-8 fractions, the serve curve and the vantage and consistency
+overlaps are all column means of its membership matrix.
 
 The paper reports point estimates of ``alpha`` and ``beta`` per brightness
 bin (Figs 7-8); its §V calls for "predictions for future measurements",
@@ -18,6 +22,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from ..hypersparse.merge import in_sorted
 from .fitting import fit_temporal, one_month_drop
 
 __all__ = ["BootstrapResult", "bootstrap_temporal_fit", "per_source_trajectories"]
@@ -29,13 +34,18 @@ def per_source_trajectories(
 ) -> np.ndarray:
     """Indicator matrix ``(n_sources, n_months)``: source in month's set.
 
-    The temporal-correlation curve is exactly the column mean of this
-    matrix; bootstrap replicates are row resamples.
+    The one source-overlap primitive: every overlap fraction in the
+    package is a column mean of this matrix, and bootstrap replicates are
+    row resamples.  Month sets must be sorted and unique; one that is not
+    raises ``ValueError`` naming its month index.
     """
     tel = np.asarray(telescope_sources, dtype=np.uint64)
     out = np.zeros((tel.size, len(monthly_sources)), dtype=bool)
     for j, month in enumerate(monthly_sources):
-        out[:, j] = np.isin(tel, np.asarray(month, dtype=np.uint64))
+        month = np.asarray(month, dtype=np.uint64)
+        if not np.all(month[1:] > month[:-1]):
+            raise ValueError(f"month {j}: source set is not sorted and unique")
+        out[:, j] = in_sorted(month, tel)
     return out
 
 

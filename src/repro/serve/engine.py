@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.correlation import PeakCorrelation, peak_correlation
+from ..fits.bootstrap import per_source_trajectories
 from ..fits.fitting import FitResult, fit_temporal
 from ..hypersparse.coo import SparseVec
 from ..obs.metrics import (
@@ -207,15 +208,8 @@ class CorrelationEngine:
             return self._month_times, self._month_fracs
         tel = self._latest_sources.keys
         times = np.asarray([m[0] for m in self._months], dtype=np.float64)
-        fracs = np.asarray(
-            [
-                float(np.intersect1d(tel, hf).size) / float(tel.size)
-                if tel.size
-                else 0.0
-                for _, hf in self._months
-            ],
-            dtype=np.float64,
-        )
+        counts = per_source_trajectories(tel, [hf for _, hf in self._months]).sum(axis=0)
+        fracs = counts / tel.size if tel.size else np.zeros(times.size)
         return times, fracs
 
     def _coeval_correlation(self) -> Optional[PeakCorrelation]:

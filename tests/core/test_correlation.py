@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DegreeBin, degree_bins, peak_correlation, source_overlap
+from repro.core import DegreeBin, degree_bins, peak_correlation
 from repro.hypersparse.coo import SparseVec
 
 
@@ -37,17 +37,6 @@ class TestDegreeBins:
     def test_invalid(self):
         with pytest.raises(ValueError):
             degree_bins(1, d_min=2)
-
-
-class TestSourceOverlap:
-    def test_exact(self):
-        common, frac = source_overlap([1, 2, 3, 4], [3, 4, 5])
-        np.testing.assert_array_equal(common, [3, 4])
-        assert frac == 0.5
-
-    def test_empty_telescope(self):
-        _, frac = source_overlap([], [1, 2])
-        assert frac == 0.0
 
 
 class TestPeakCorrelation:
@@ -88,3 +77,9 @@ class TestPeakCorrelation:
         vec = SparseVec([1, 2], [1.0, 2.0])
         peak = peak_correlation(vec, np.asarray([1], dtype=np.uint64), n_valid=16)
         assert peak.centers().size == peak.fractions().size == peak.counts().size
+
+    @pytest.mark.parametrize("hf", [[5, 2], [2, 2]], ids=["unsorted", "duplicated"])
+    def test_unsorted_honeyfarm_set_rejected(self, hf):
+        vec = SparseVec([1, 2], [1.0, 2.0])
+        with pytest.raises(ValueError, match="month 0"):
+            peak_correlation(vec, np.asarray(hf, dtype=np.uint64), n_valid=16)

@@ -117,6 +117,10 @@ class TestAnonymizedPath:
         d = direct.fig4_peak()
         s = shared.fig4_peak()
         np.testing.assert_array_equal(d.fractions(), s.fractions())
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             direct.fig5_curve().fractions, shared.fig5_curve().fractions
         )
+        d6, s6 = direct.fig6_curves(), shared.fig6_curves()
+        assert d6.keys() == s6.keys() and d6
+        for key, (curve, _) in d6.items():
+            np.testing.assert_array_equal(curve.fractions, s6[key][0].fractions)

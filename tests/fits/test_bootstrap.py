@@ -38,6 +38,13 @@ class TestTrajectories:
         t = per_source_trajectories(tel, monthly)
         assert t.mean(axis=0)[0] == 0.5
 
+    @pytest.mark.parametrize("bad", [[30, 10], [10, 10]], ids=["unsorted", "duplicated"])
+    def test_month_set_must_be_sorted_unique(self, bad):
+        tel = np.asarray([10, 20, 30], dtype=np.uint64)
+        monthly = [np.asarray([10], dtype=np.uint64), np.asarray(bad, dtype=np.uint64)]
+        with pytest.raises(ValueError, match="month 1"):
+            per_source_trajectories(tel, monthly)
+
 
 class TestBootstrap:
     def test_point_estimate_within_interval(self):

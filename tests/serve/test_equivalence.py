@@ -3,7 +3,9 @@
 The streaming engine folds the same packets the batch pipeline windows,
 so every derived quantity in a published snapshot must match
 ``constant_packet_windows`` → ``build_traffic_matrix`` →
-``network_quantities`` exactly — no float drift, no reordering.  Streams
+``network_quantities`` exactly — no float drift, no reordering — and its
+overlap curve and Fig 4 correlation must be the batch
+``temporal_correlation`` / ``peak_correlation`` of the last window.  Streams
 are seeded through :mod:`repro.rand` so each Hypothesis case is
 reconstructible from its integers alone, and the whole property is
 re-run with debug invariants and the snapshot+mutate sanitizers armed
@@ -16,8 +18,10 @@ from hypothesis import strategies as st
 
 from repro.analysis.contracts import debug_invariants
 from repro.analysis.sanitize.runtime import sanitizers, take_traps
+from repro.core import peak_correlation, temporal_correlation
 from repro.rand import hash_u64, hash_uniform
 from repro.serve import CorrelationEngine
+from repro.serve.cli import synthetic_month
 from repro.stats import differential_cumulative
 from repro.traffic import (
     Packets,
@@ -61,20 +65,44 @@ def assert_snapshot_matches_batch(snap, packets, n_valid):
         assert snap.window_end[k] == window.end_time
 
 
+def assert_overlap_matches_batch(snap, packets, n_valid, months):
+    """Published overlap state == the batch core on the last window."""
+    last = constant_packet_windows(packets, n_valid)[-1]
+    sources = build_traffic_matrix(last.packets).row_reduce()
+    times = [t for t, _ in months]
+    sets = [hf for _, hf in months]
+    want = temporal_correlation(sources, sets, times, t0=0.0)
+    assert snap.month_times.tobytes() == want.times.tobytes()
+    assert snap.overlap_fractions.tobytes() == want.fractions.tobytes()
+    if not months:
+        assert snap.correlation is None
+        return
+    t_win = snap.window_end[-1]
+    nearest = min(months, key=lambda m: abs(m[0] - t_win))[1]
+    want_peak = peak_correlation(sources, nearest, n_valid)
+    assert snap.correlation == want_peak
+    assert snap.correlation.fractions().tobytes() == want_peak.fractions().tobytes()
+
+
 class TestStreamingEqualsBatch:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_valid=st.integers(32, 200),
         batch_sizes=st.lists(st.integers(1, 400), min_size=1, max_size=6),
+        n_months=st.integers(0, 4),
     )
     @settings(max_examples=15, deadline=None)
-    def test_snapshot_matches_batch_pipeline(self, seed, n_valid, batch_sizes):
+    def test_snapshot_matches_batch_pipeline(self, seed, n_valid, batch_sizes, n_months):
         packets = seeded_stream(seed, 600)
+        months = [(25.0 * m + 12.5, synthetic_month(seed, m, 2000)) for m in range(n_months)]
         with CorrelationEngine(n_valid, cutoff=1 << 8) as engine:
             fold_in_batches(engine, packets, batch_sizes)
+            for t, hf in reversed(months):
+                engine.fold_month(t, hf)
             snap = engine.acquire()
             try:
                 assert_snapshot_matches_batch(snap, packets, n_valid)
+                assert_overlap_matches_batch(snap, packets, n_valid, months)
             finally:
                 engine.release(snap)
 
