@@ -107,11 +107,6 @@ _RESOURCE_KINDS = {
     "SharedMemory": "shm",
     "export_matrix": "shm",
     "import_matrix": "shm",
-    # Kernel-backend dispatch handles: a module global bound to a
-    # resolved backend (``KERNELS = select_backend()``) is process
-    # state the dispatch rules (RL022) and sanitizers key off.
-    "resolve": "kernel-handle",
-    "select_backend": "kernel-handle",
     # Out-of-core columnar runs (repro.hypersparse.spill): writers hold
     # open descriptors, stores own spill directories, and memory maps
     # pin file pages — none may be inherited silently across fork, and

@@ -129,17 +129,10 @@ KNOBS: Tuple[Knob, ...] = (
         "repro/hypersparse/spill.py",
     ),
     Knob(
-        "REPRO_BACKEND",
-        "str",
-        "numpy",
-        "kernel backend: numpy, numba, or auto (numba when importable, else numpy)",
-        "repro/hypersparse/backend/__init__.py",
-    ),
-    Knob(
         "REPRO_SAN",
         "list",
         "(empty)",
-        "comma-separated sanitizers to arm at import (overflow,mutate,fork,float,shm,snapshot,backend)",
+        "comma-separated sanitizers to arm at import (overflow,mutate,fork,float,shm,snapshot)",
         "repro/analysis/sanitize/runtime.py",
     ),
     Knob(

@@ -1,4 +1,4 @@
-"""The repro-lint rule catalogue (RL001–RL023).
+"""The repro-lint rule catalogue (RL001–RL020).
 
 Each rule encodes one of the domain invariants the reproduction's
 correctness rests on; ``docs/STATIC_ANALYSIS.md`` is the user-facing
@@ -19,11 +19,6 @@ import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .backends import (
-    BackendConformanceRule,
-    BackendOverflowRule,
-    DispatchDisciplineRule,
-)
 from .concurrency import EscapeAnalysisRule, SharedGuardRule, ShmLifecycleRule
 from .config import LintConfig
 from .service import AsyncDisciplineRule, EngineLifecycleRule, SnapshotEscapeRule
@@ -62,9 +57,6 @@ __all__ = [
     "AsyncDisciplineRule",
     "SnapshotEscapeRule",
     "EngineLifecycleRule",
-    "BackendConformanceRule",
-    "DispatchDisciplineRule",
-    "BackendOverflowRule",
     "ALL_RULES",
     "rule_by_id",
 ]
@@ -989,8 +981,8 @@ class DtypeWidthRule(Rule):
         """Flag width-unsafe packed-key arithmetic, scope by scope."""
         if not ctx.in_package("repro/"):
             return
-        if OverflowProofRule.scoped(ctx) or BackendOverflowRule.scoped(ctx):
-            return  # RL013/RL023 interval proofs replace the syntactic check
+        if OverflowProofRule.scoped(ctx):
+            return  # RL013's interval proof replaces the syntactic check
         yield from self._check_scope(ctx, ctx.tree.body, set())
 
 
@@ -1192,27 +1184,17 @@ class OverflowProofRule(Rule):
 
     _PACKAGES = ("repro/hypersparse/",)
     _MODULES = ("repro/d4m/keys.py",)
-    #: Packages where RL023 runs the same proof with contract-declared
-    #: domains instead; judging them here too would double-report with
-    #: weaker seeds.
-    _EXCLUDED = ("repro/hypersparse/backend/",)
-
-    #: Interval seeds, consulted via ``self`` so RL023 can rerun the
-    #: identical proof machinery with a per-backend merged domain.
-    domain: Dict[str, AbstractValue] = _DOMAIN
 
     @classmethod
     def scoped(cls, ctx: FileContext) -> bool:
         """True when ``ctx`` falls under the interval-proof regime."""
-        if ctx.in_package(*cls._EXCLUDED):
-            return False
         return ctx.in_package(*cls._PACKAGES) or ctx.is_module(*cls._MODULES)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Prove or flag every widening arithmetic node in scope."""
         if not self.scoped(ctx):
             return
-        yield from self._check_scope(ctx, ctx.tree.body, dict(self.domain))
+        yield from self._check_scope(ctx, ctx.tree.body, dict(_DOMAIN))
 
     def _check_scope(
         self, ctx: FileContext, stmts: Sequence[ast.stmt], base: Env
@@ -1230,9 +1212,7 @@ class OverflowProofRule(Rule):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 child_env = dict(env)
                 for pname in _param_names(child.args):
-                    child_env[pname] = self.domain.get(
-                        pname, AbstractValue.unknown()
-                    )
+                    child_env[pname] = _DOMAIN.get(pname, AbstractValue.unknown())
                 yield from self._check_scope(ctx, child.body, child_env)
             elif isinstance(child, ast.ClassDef):
                 yield from self._check_scope(ctx, child.body, env)
@@ -1523,9 +1503,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     AsyncDisciplineRule(),
     SnapshotEscapeRule(),
     EngineLifecycleRule(),
-    BackendConformanceRule(),
-    DispatchDisciplineRule(),
-    BackendOverflowRule(),
 )
 
 

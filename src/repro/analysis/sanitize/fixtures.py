@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "probe_overflow",
-    "probe_backend",
     "probe_fork_mutation",
     "probe_nan_fit",
     "probe_shm",
@@ -26,41 +25,16 @@ __all__ = [
 def probe_overflow() -> None:
     """Pack coordinates whose key provably leaves uint64 (RS001).
 
-    Calls the packing kernel through the live dispatch handle so the
-    armed sanitizer's checked handle is the one that runs: a row of
-    ``2^33`` against the full IPv4 column extent packs to ``2^65``-ish,
-    which the uint64 shift wraps silently.
+    Calls the packing function through its module binding so the armed
+    sanitizer's checked wrapper is the one that runs: a row of ``2^33``
+    against the full IPv4 column extent packs to ``2^65``-ish, which the
+    uint64 shift wraps silently.
     """
-    from ...hypersparse import backend as kb
+    from ...hypersparse import coo
 
     rows = np.array([2**33], dtype=np.uint64)
     cols = np.array([7], dtype=np.uint64)
-    kb.KERNELS.pack_keys(rows, cols, 2**32)
-
-
-def probe_backend() -> None:
-    """Dispatch through a deliberately tampered backend (RS007).
-
-    Registers a throwaway backend whose ``pack_keys`` drifts from the
-    reference by one bit and dispatches through a freshly resolved
-    handle.  Armed, the backend sanitizer's wrapped ``resolve`` returns
-    a checked handle that replays the call on the numpy reference and
-    traps the divergence; disarmed, the drifted pack goes unnoticed —
-    exactly the silent-divergence mode RS007 exists to catch.
-    """
-    from ...hypersparse import backend as kb
-    from ...hypersparse.backend import reference
-    from ...hypersparse.backend.contract import U64
-
-    def pack_keys(rows: U64, cols: U64, ncols: int) -> U64:
-        return reference.pack_keys(rows, cols, ncols) + np.uint64(1)
-
-    kernels = {spec.name: getattr(reference, spec.name) for spec in kb.KERNEL_TABLE}
-    kernels["pack_keys"] = pack_keys
-    kb.register_backend("selftest-tampered", kernels, allow_replace=True)
-    rows = np.array([3, 5], dtype=np.uint64)
-    cols = np.array([1, 2], dtype=np.uint64)
-    kb.resolve("selftest-tampered").pack_keys(rows, cols, 2**16)
+    coo._pack_keys(rows, cols, 2**32)
 
 
 def _mutating_worker(vec) -> float:
@@ -160,5 +134,4 @@ PROBES = {
     "float": probe_nan_fit,
     "shm": probe_shm,
     "snapshot": probe_snapshot,
-    "backend": probe_backend,
 }

@@ -22,10 +22,10 @@ import numpy as np
 
 from .runtime import caller_site, fp_trap, patch_everywhere, record_trap
 
-__all__ = ["arm", "nonfinite_fields", "FIT_KERNELS"]
+__all__ = ["arm", "nonfinite_fields"]
 
 #: ``(module, attribute)`` of every wrapped fit kernel.
-FIT_KERNELS: Tuple[Tuple[str, str], ...] = (
+_FIT_TARGETS: Tuple[Tuple[str, str], ...] = (
     ("repro.stats.zipf", "fit_zipf_mandelbrot"),
     ("repro.stats.heavy_tail", "powerlaw_alpha_mle"),
     ("repro.fits.fitting", "fit_temporal"),
@@ -79,7 +79,7 @@ def arm() -> Callable[[], None]:
     import importlib
 
     undos: List[Callable[[], None]] = []
-    for mod_name, attr in FIT_KERNELS:
+    for mod_name, attr in _FIT_TARGETS:
         module = importlib.import_module(mod_name)
         orig = getattr(module, attr)
         undos.append(patch_everywhere(orig, _guarded(attr, orig)))

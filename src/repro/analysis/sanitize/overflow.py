@@ -2,12 +2,13 @@
 
 NumPy wraps unsigned integer arithmetic silently — ``np.seterr`` has no
 integer mode — so rule RL013's interval proof has no runtime ally in
-NumPy itself.  This sanitizer supplies one: it swaps the dispatched
-kernel handle for one whose ``pack_keys`` re-derives each pack's true
-maximum in exact Python ints (which cannot wrap) from the actual
-runtime operands, and wraps the sort-pack kernel in
-:mod:`repro.hypersparse.coo` the same way, recording an RS001 trap
-whenever the packed range leaves uint64.  It is the dynamic twin of the static proof: RL013
+NumPy itself.  This sanitizer supplies one: it wraps the key-packing
+function of :mod:`repro.hypersparse.coo` so each pack's true maximum
+is re-derived in exact Python ints (which cannot wrap) from the actual
+runtime operands, and wraps the sort-pack kernel
+``_stable_sorted_with_order`` likewise, recording an RS001 trap
+whenever the packed range leaves uint64.  It is the dynamic twin of
+the static proof: RL013
 bounds the *derivable* range, the sanitizer measures the *actual* one —
 including at the one ``# lint: allow-overflow`` site, whose bit-length
 guard it re-validates on every call.
@@ -31,7 +32,7 @@ U64_MAX = 2**64 - 1
 
 
 def _peak_pack(rows: np.ndarray, cols: np.ndarray, ncols: int) -> int:
-    """The exact maximum key ``pack_keys`` would produce, as a Python int."""
+    """The exact maximum key ``_pack_keys`` would produce, as a Python int."""
     r, c = int(rows.max()), int(cols.max())
     if ncols & (ncols - 1) == 0:
         return (r << (ncols.bit_length() - 1)) | c
@@ -39,7 +40,7 @@ def _peak_pack(rows: np.ndarray, cols: np.ndarray, ncols: int) -> int:
 
 
 def _checked_pack_keys(orig: Callable[..., Any]) -> Callable[..., Any]:
-    """Wrap the handle's ``pack_keys`` kernel with an exact range check."""
+    """Wrap the ``_pack_keys`` function with an exact range check."""
 
     def pack_keys(rows: np.ndarray, cols: np.ndarray, ncols: int) -> Any:
         if rows.size:
@@ -91,20 +92,16 @@ def _checked_stable_sort(orig: Callable[..., Any]) -> Callable[..., Any]:
 def arm() -> Callable[[], None]:
     """Arm the overflow sanitizer; returns the undo closure.
 
-    Packing dispatches through the immutable kernel-backend handle, so
-    the sanitizer derives a *checked* handle (every other kernel
-    untouched) and swaps it into every module-level binding — the
-    handle itself is never mutated, matching RL022's no-mutable-state
-    discipline.
+    Both wrapped functions are swapped into every module-level binding
+    that holds them, so ``from .coo import ...`` consumers see the
+    checked versions too.
     """
-    from ...hypersparse import backend as kb
     from ...hypersparse import coo
 
     undos: List[Callable[[], None]] = []
 
-    handle = kb.KERNELS
-    checked = handle.replace(pack_keys=_checked_pack_keys(handle.pack_keys))
-    undos.append(patch_everywhere(handle, checked))
+    orig_pack = coo._pack_keys
+    undos.append(patch_everywhere(orig_pack, _checked_pack_keys(orig_pack)))
 
     orig_sort = coo._stable_sorted_with_order
     undos.append(patch_everywhere(orig_sort, _checked_stable_sort(orig_sort)))

@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 #: The sanitizers ``REPRO_SAN`` accepts, in arming order (``overflow``
-#: must patch the pristine kernels before ``fork`` wraps the pool, and
-#: ``backend`` arms last so its replay wrapper sees every other check).
+#: must patch the pristine kernels before ``fork`` wraps the pool).
 SANITIZER_NAMES: Tuple[str, ...] = (
     "overflow",
     "mutate",
@@ -52,7 +51,6 @@ SANITIZER_NAMES: Tuple[str, ...] = (
     "float",
     "shm",
     "snapshot",
-    "backend",
 )
 
 #: SARIF rule ids, one per sanitizer (the dynamic counterpart of RLxxx).
@@ -63,7 +61,6 @@ RULE_IDS: Dict[str, str] = {
     "float": "RS004",
     "shm": "RS005",
     "snapshot": "RS006",
-    "backend": "RS007",
 }
 
 #: Distinct trap sites retained before further recording is dropped (a
@@ -182,7 +179,7 @@ def _registry() -> Dict[str, Callable[[], Callable[[], None]]]:
     Lazy so ``import repro`` never pays for sanitizer wiring; each arm
     function performs its patches and returns the matching undo.
     """
-    from . import backend, floats, fork, mutate, overflow, shm, snapshot
+    from . import floats, fork, mutate, overflow, shm, snapshot
 
     return {
         "overflow": overflow.arm,
@@ -191,7 +188,6 @@ def _registry() -> Dict[str, Callable[[], Callable[[], None]]]:
         "float": floats.arm,
         "shm": shm.arm,
         "snapshot": snapshot.arm,
-        "backend": backend.arm,
     }
 
 

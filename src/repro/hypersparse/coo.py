@@ -32,8 +32,7 @@ import numpy as np
 
 from ..analysis.contracts import check_matrix, check_vector
 from ..obs.metrics import MERGE_FASTPATH_MISSES, inc
-from .backend import KERNELS as _K
-from .merge import merge_combine
+from .merge import in_sorted, intersect_sorted, merge_combine
 from .semiring import PLUS_TIMES, Semiring
 
 __all__ = ["HyperSparseMatrix", "SparseVec", "IPV4_SPACE"]
@@ -73,6 +72,28 @@ def _run_starts(sorted_arr: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
+def _pack_keys(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
+    """Map (row, col) to a single uint64 key preserving lexicographic order.
+
+    For power-of-two column extents (the ``2^32``-wide IPv4 plane — every
+    matrix the paper builds) the multiply/add collapses to a shift/or,
+    which also lets :func:`_unpack_keys` undo it with a shift/mask
+    instead of 64-bit division.
+    """
+    if ncols & (ncols - 1) == 0:
+        return (rows << np.uint64(ncols.bit_length() - 1)) | cols
+    return rows * np.uint64(ncols) + cols
+
+
+def _unpack_keys(keys: np.ndarray, ncols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Invert :func:`_pack_keys`."""
+    if ncols & (ncols - 1) == 0:
+        shift = np.uint64(ncols.bit_length() - 1)
+        return keys >> shift, keys & np.uint64(ncols - 1)
+    ncols_u = np.uint64(ncols)
+    return keys // ncols_u, keys % ncols_u
+
+
 def _combine_duplicates(
     keys: np.ndarray, vals: np.ndarray, add: np.ufunc
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -84,16 +105,16 @@ def _combine_duplicates(
     streams).  Operations whose operands are already canonical runs go
     through :func:`repro.hypersparse.merge.merge_combine` instead and
     never land here — the ``merge_fastpath_misses`` counter tracks how
-    often this slow path still runs.  The sort itself is dispatched
-    through the kernel-backend handle (``combine_add`` for the hot
-    ``+`` monoid, ``combine_general`` otherwise).
+    often this slow path still runs.
     """
     if keys.size == 0:
         return keys, vals
     inc(MERGE_FASTPATH_MISSES)
-    if add is np.add:
-        return _K.combine_add(keys, vals)
-    return _K.combine_general(keys, vals, add)
+    order = np.argsort(keys, kind="stable")  # lint: allow-resort — canonicalization site
+    keys = keys[order]
+    vals = vals[order]
+    starts = _run_starts(keys)
+    return keys[starts], add.reduceat(vals, starts)
 
 
 def _stable_sorted_with_order(
@@ -138,7 +159,10 @@ def _count_duplicates(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if keys.size == 0:
         return keys, np.zeros(0, dtype=np.float64)
     inc(MERGE_FASTPATH_MISSES)
-    return _K.count_duplicates(keys)
+    keys = np.sort(keys)
+    starts = _run_starts(keys)
+    counts = np.diff(np.append(starts, keys.size)).astype(np.float64)
+    return keys[starts], counts
 
 
 class SparseVec:
@@ -248,7 +272,7 @@ class SparseVec:
 
     def ewise_mult(self, other: "SparseVec", op: Callable = np.multiply) -> "SparseVec":
         """Intersection combine: entries present in *both* vectors."""
-        common, ia, ib = _K.intersect_sorted(self.keys, other.keys)
+        common, ia, ib = intersect_sorted(self.keys, other.keys)
         out = SparseVec.__new__(SparseVec)
         out.keys = common
         out.vals = np.asarray(op(self.vals[ia], other.vals[ib]), dtype=np.float64)
@@ -272,7 +296,7 @@ class SparseVec:
     def select_keys(self, keys: ArrayLike) -> "SparseVec":
         """Restrict to the given key set (sparse intersection)."""
         want = np.unique(_as_u64(keys))
-        common, ia, _ = _K.intersect_sorted(self.keys, want)
+        common, ia, _ = intersect_sorted(self.keys, want)
         out = SparseVec.__new__(SparseVec)
         out.keys = common
         out.vals = self.vals[ia]
@@ -355,10 +379,10 @@ class HyperSparseMatrix:
 
     def _linearize(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Pack (row, col) into uint64 keys for this matrix's shape."""
-        return _K.pack_keys(rows, cols, self.shape[1])
+        return _pack_keys(rows, cols, self.shape[1])
 
     def _delinearize(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return _K.unpack_keys(keys, self.shape[1])
+        return _unpack_keys(keys, self.shape[1])
 
     # -- lazy canonical views --------------------------------------------------
     #
@@ -611,7 +635,7 @@ class HyperSparseMatrix:
         """Intersection combine (GraphBLAS eWiseMult)."""
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        common, ia, ib = _K.intersect_sorted(self.keys, other.keys)
+        common, ia, ib = intersect_sorted(self.keys, other.keys)
         vals = np.asarray(op(self.vals[ia], other.vals[ib]), dtype=np.float64)
         return self._from_keys(common, vals, self.shape)
 
@@ -684,7 +708,7 @@ class HyperSparseMatrix:
 
         # The join emits products in arbitrary key order, so this is a
         # sanctioned canonicalization (counted as a merge-fastpath miss).
-        keys = _K.pack_keys(out_rows, out_cols, out_shape[1])
+        keys = _pack_keys(out_rows, out_cols, out_shape[1])
         keys, vals = _combine_duplicates(keys, prods, semiring.add)
         return self._from_keys(keys, vals, out_shape)
 
@@ -788,10 +812,10 @@ class HyperSparseMatrix:
         mask = np.ones(self.nnz, dtype=bool)
         if rows is not None:
             want = np.unique(_as_u64(rows))
-            mask &= _K.in_sorted(want, self.rows)
+            mask &= in_sorted(want, self.rows)
         if cols is not None:
             want = np.unique(_as_u64(cols))
-            mask &= _K.in_sorted(want, self.cols)
+            mask &= in_sorted(want, self.cols)
         return self._masked(mask)
 
     def extract_range(

@@ -23,7 +23,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .coo import HyperSparseMatrix, SparseVec
-from .backend import KERNELS as _K
+from .merge import in_sorted
 from .ops import mask, mxv, tril, triu
 from .semiring import LOR_LAND, PLUS_PAIR, Semiring
 
@@ -57,7 +57,7 @@ def bfs_levels(graph: HyperSparseMatrix, source: int, *, max_depth: int = 64) ->
             break
         # Mask out already-visited nodes; both key runs are canonical,
         # so membership is binary search, not np.isin's sort.
-        fresh_mask = ~_K.in_sorted(levels.keys, nxt.keys)
+        fresh_mask = ~in_sorted(levels.keys, nxt.keys)
         if not fresh_mask.any():
             break
         frontier = SparseVec(

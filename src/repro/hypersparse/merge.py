@@ -38,7 +38,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.metrics import MERGE_FASTPATH_HITS, inc
-from .backend import KERNELS as _K
 
 __all__ = ["merge_combine", "intersect_sorted", "in_sorted", "kway_merge"]
 
@@ -56,6 +55,64 @@ def _identical_keys(keys_a: np.ndarray, keys_b: np.ndarray) -> bool:
     if keys_a[0] != keys_b[0] or keys_a[-1] != keys_b[-1]:
         return False
     return bool(np.array_equal(keys_a, keys_b))
+
+
+def _merge_into(
+    keys_s: np.ndarray,
+    vals_s: np.ndarray,
+    keys_n: np.ndarray,
+    vals_n: np.ndarray,
+    op: np.ufunc,
+    right_op: Optional[Callable[[np.ndarray], np.ndarray]],
+    b_is_needle: bool,
+) -> Run:
+    """Merge the needle run ``n`` into the stack run ``s``.
+
+    ``b_is_needle`` records which input was the right operand of the
+    original merge call so ``op``'s argument order and ``right_op``'s
+    target (b-exclusive values) stay correct under the internal swap
+    that always searches the smaller run into the larger.
+    """
+    ns = keys_s.size
+    idx = np.searchsorted(keys_s, keys_n)
+    # idx == ns means the needle exceeds every stack key, and then the
+    # clipped probe compares against the (strictly smaller) last stack
+    # key, so the clip cannot fabricate a match.
+    matched = keys_s[np.minimum(idx, ns - 1)] == keys_n
+    only = ~matched
+    idx_only = idx[only]
+    n_only = idx_only.size
+    out_n = ns + n_only
+    out_keys = np.empty(out_n, dtype=keys_s.dtype)
+    out_vals = np.empty(out_n, dtype=np.float64)
+    # Output position of stack element i: i stack elements precede it,
+    # plus every exclusive needle whose insertion point is <= i.
+    inserted_before = np.cumsum(np.bincount(idx_only, minlength=ns + 1))
+    pos_s = np.arange(ns, dtype=np.int64) + inserted_before[:ns]
+    # Output position of the j-th exclusive needle: its insertion point
+    # (stack elements before it) plus the j exclusive needles before it.
+    pos_n = idx_only + np.arange(n_only, dtype=np.int64)
+    out_keys[pos_s] = keys_s
+    out_vals[pos_s] = vals_s
+    out_keys[pos_n] = keys_n[only]
+    needle_exclusive = vals_n[only]
+    if right_op is not None and b_is_needle:
+        needle_exclusive = np.asarray(right_op(needle_exclusive), dtype=np.float64)
+    out_vals[pos_n] = needle_exclusive
+    if right_op is not None and not b_is_needle:
+        # The stack is the b operand: transform its exclusive values,
+        # i.e. every stack position no needle matched.
+        stack_exclusive = np.ones(ns, dtype=bool)
+        stack_exclusive[idx[matched]] = False
+        sx = pos_s[stack_exclusive]
+        out_vals[sx] = right_op(out_vals[sx])
+    mi = idx[matched]
+    if mi.size:
+        if b_is_needle:
+            out_vals[pos_s[mi]] = op(vals_s[mi], vals_n[matched])
+        else:
+            out_vals[pos_s[mi]] = op(vals_n[matched], vals_s[mi])
+    return out_keys, out_vals
 
 
 def merge_combine(
@@ -79,12 +136,8 @@ def merge_combine(
 
     Output arrays may alias the inputs when one run is empty or both
     runs share identical keys; canonical containers are immutable so
-    sharing is safe.
-
-    The shortcut logic and fastpath counters live here; the actual
-    two-run merge dispatches through the kernel-backend handle —
-    ``merge_add``/``merge_sub`` for the two hot instantiations (matrix
-    ``+`` and ``-``), ``merge_general`` for arbitrary ufuncs.
+    sharing is safe.  Otherwise the smaller run is always searched into
+    the larger.
     """
     if keys_b.size == 0:
         inc(MERGE_FASTPATH_HITS)
@@ -95,11 +148,9 @@ def merge_combine(
     inc(MERGE_FASTPATH_HITS)
     if _identical_keys(keys_a, keys_b):
         return keys_a, np.asarray(op(vals_a, vals_b), dtype=np.float64)
-    if op is np.add and right_op is None:
-        return _K.merge_add(keys_a, vals_a, keys_b, vals_b)
-    if op is np.subtract and right_op is np.negative:
-        return _K.merge_sub(keys_a, vals_a, keys_b, vals_b)
-    return _K.merge_general(keys_a, vals_a, keys_b, vals_b, op, right_op)
+    if keys_b.size <= keys_a.size:
+        return _merge_into(keys_a, vals_a, keys_b, vals_b, op, right_op, b_is_needle=True)
+    return _merge_into(keys_b, vals_b, keys_a, vals_a, op, right_op, b_is_needle=False)
 
 
 def intersect_sorted(
@@ -110,11 +161,23 @@ def intersect_sorted(
     Returns ``(common, ia, ib)`` such that ``common == keys_a[ia] ==
     keys_b[ib]`` in sorted order — the same contract as
     ``np.intersect1d(..., assume_unique=True, return_indices=True)``
-    without its internal concatenate-and-argsort.  Thin public wrapper
-    over the backend kernel for consumers outside the hypersparse
-    package (d4m associative arrays, tests).
+    without its internal concatenate-and-argsort.  The smaller run is
+    searched into the larger.
     """
-    return _K.intersect_sorted(keys_a, keys_b)
+    if keys_a.size == 0 or keys_b.size == 0:
+        empty_idx = np.zeros(0, dtype=np.intp)
+        return np.zeros(0, dtype=keys_a.dtype), empty_idx, empty_idx
+    if keys_b.size <= keys_a.size:
+        idx = np.searchsorted(keys_a, keys_b)
+        matched = keys_a[np.minimum(idx, keys_a.size - 1)] == keys_b
+        ib = np.flatnonzero(matched)
+        ia = idx[matched]
+    else:
+        idx = np.searchsorted(keys_b, keys_a)
+        matched = keys_b[np.minimum(idx, keys_b.size - 1)] == keys_a
+        ia = np.flatnonzero(matched)
+        ib = idx[matched]
+    return keys_a[ia], ia, ib
 
 
 def in_sorted(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -122,10 +185,11 @@ def in_sorted(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
     The ``np.isin`` replacement for sorted unique haystacks: one binary
     search per query, no sorting.  ``queries`` may be in any order.
-    Thin public wrapper over the backend kernel for consumers outside
-    the hypersparse package.
     """
-    return _K.in_sorted(sorted_keys, queries)
+    if sorted_keys.size == 0:
+        return np.zeros(queries.shape, dtype=bool)
+    idx = np.searchsorted(sorted_keys, queries)
+    return sorted_keys[np.minimum(idx, sorted_keys.size - 1)] == queries
 
 
 def kway_merge(runs: Sequence[Run], op: np.ufunc = np.add) -> Run:

@@ -27,7 +27,7 @@ import numpy as np
 from ..analysis.contracts import checked
 from ..obs.spans import traced
 from .coo import HyperSparseMatrix, SparseVec
-from .backend import KERNELS as _K
+from .merge import in_sorted
 from .semiring import PLUS_TIMES, Semiring
 
 __all__ = [
@@ -121,7 +121,7 @@ def complement_mask(
     """Entries of ``matrix`` *outside* the stored pattern of ``pattern``."""
     if matrix.shape != pattern.shape:
         raise ValueError("mask shape mismatch")
-    keep = ~_K.in_sorted(pattern.keys, matrix.keys)
+    keep = ~in_sorted(pattern.keys, matrix.keys)
     return matrix._masked(keep)
 
 

@@ -1,5 +1,7 @@
 """Sanitizer core: trap log, arming lifecycle, patch plumbing."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,24 @@ from repro.analysis.sanitize.runtime import (
     take_traps,
     trap_count,
 )
+
+
+def _repro_bindings():
+    """Every module- and class-level binding in the loaded repro modules.
+
+    Keyed by ``(module, class or None, attribute)`` so sanitizers that
+    patch module functions and those that patch methods are both seen.
+    """
+    out = {}
+    for mod_name, module in list(sys.modules.items()):
+        if module is None or not mod_name.startswith("repro"):
+            continue
+        for attr, value in list(vars(module).items()):
+            out[(mod_name, None, attr)] = value
+            if isinstance(value, type) and value.__module__ == mod_name:
+                for name, member in list(vars(value).items()):
+                    out[(mod_name, attr, name)] = member
+    return out
 
 
 @pytest.fixture(autouse=True)
@@ -69,18 +89,39 @@ class TestTrapLog:
 
 class TestArming:
     def test_arm_disarm_roundtrip_restores_bindings(self):
-        from repro.hypersparse import backend as kb
+        from repro.analysis import contracts
         from repro.hypersparse import coo
 
-        before_handle = kb.KERNELS
+        err, errcall = np.geterr(), np.geterrcall()
+        hooks = list(contracts._construct_hooks)
+        original = coo._pack_keys
         arm(["overflow"])
         assert armed() == ("overflow",)
-        assert kb.KERNELS is not before_handle  # checked handle swapped in
-        assert coo._K is kb.KERNELS  # every binding follows
+        assert coo._pack_keys is not original  # checked wrapper swapped in
         disarm()
         assert armed() == ()
-        assert kb.KERNELS is before_handle  # fully restored
-        assert coo._K is before_handle
+        assert coo._pack_keys is original  # fully restored
+
+        # The disarmed-overhead contract is structural: after disarm()
+        # every binding any sanitizer patched is the original object and
+        # the numpy error state is exactly what it was before arming.
+        # The first full cycle imports every sanitizer's targets, so the
+        # binding snapshot is taken after it.
+        arm(SANITIZER_NAMES)
+        disarm()
+        bindings = _repro_bindings()
+
+        arm(SANITIZER_NAMES)
+        patched = [k for k, v in _repro_bindings().items() if bindings.get(k) is not v]
+        assert patched, "arming patched nothing; the residue check is vacuous"
+        disarm()
+
+        after = _repro_bindings()
+        residue = [k for k, v in bindings.items() if after.get(k) is not v]
+        assert residue == []
+        assert np.geterr() == err
+        assert np.geterrcall() is errcall
+        assert contracts._construct_hooks == hooks
 
     def test_arm_is_idempotent(self):
         arm(["mutate"])
@@ -126,22 +167,25 @@ class TestBootstrap:
 
 class TestPatchEverywhere:
     def test_patches_direct_import_bindings_and_undoes(self):
-        # repro.hypersparse modules bind the kernel handle directly
-        # (``from .backend import KERNELS as _K``); patching the handle
-        # must swap every such binding, not just the defining module's.
-        import repro.hypersparse.backend as kb
-        import repro.hypersparse.coo as coo
-        import repro.hypersparse.merge as merge
+        # ``from x import f`` copies the binding, so patching the pack
+        # function must swap it in every module holding it, not just coo.
+        import types
 
-        original = kb.KERNELS
+        import repro.hypersparse.coo as coo
+
+        original = coo._pack_keys
+        consumer = types.ModuleType("repro._patch_probe")
+        consumer._pack_keys = original
+        sys.modules[consumer.__name__] = consumer
         sentinel = object()
-        undo = runtime.patch_everywhere(original, sentinel)
         try:
-            assert kb.KERNELS is sentinel
-            assert coo._K is sentinel
-            assert merge._K is sentinel
+            undo = runtime.patch_everywhere(original, sentinel)
+            try:
+                assert coo._pack_keys is sentinel
+                assert consumer._pack_keys is sentinel
+            finally:
+                undo()
+            assert coo._pack_keys is original
+            assert consumer._pack_keys is original
         finally:
-            undo()
-        assert kb.KERNELS is original
-        assert coo._K is original
-        assert merge._K is original
+            del sys.modules[consumer.__name__]
