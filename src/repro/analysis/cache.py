@@ -45,7 +45,7 @@ __all__ = ["DEFAULT_CACHE_FILE", "rules_fingerprint", "lint_paths_incremental"]
 #: Default on-disk location, relative to the working directory.
 DEFAULT_CACHE_FILE = Path(".repro-lint-cache.json")
 
-_CACHE_VERSION = 6
+_CACHE_VERSION = 7
 
 
 def rules_fingerprint(rules: Sequence[Rule], config: LintConfig) -> str:

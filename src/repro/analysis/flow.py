@@ -100,13 +100,6 @@ _RESOURCE_KINDS = {
     "Generator": "rng",
     "PCG64": "rng",
     "SeedSequence": "rng",
-    # Registered shared-memory buffers: module globals bound to a
-    # segment (or an exported-matrix handle) are the one sanctioned way
-    # for state to be visible on both sides of a pool dispatch — the
-    # concurrency rules (RL015/RL017) key off this classification.
-    "SharedMemory": "shm",
-    "export_matrix": "shm",
-    "import_matrix": "shm",
     # Out-of-core columnar runs (repro.hypersparse.spill): writers hold
     # open descriptors, stores own spill directories, and memory maps
     # pin file pages — none may be inherited silently across fork, and

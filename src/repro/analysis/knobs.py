@@ -115,13 +115,6 @@ KNOBS: Tuple[Knob, ...] = (
         "repro/parallel/pool.py",
     ),
     Knob(
-        "REPRO_SHM",
-        "flag",
-        "off",
-        "route pool dispatch of hypersparse matrices through shared memory",
-        "repro/parallel/shm.py",
-    ),
-    Knob(
         "REPRO_MEM_BUDGET",
         "str",
         "(unset)",
@@ -132,7 +125,7 @@ KNOBS: Tuple[Knob, ...] = (
         "REPRO_SAN",
         "list",
         "(empty)",
-        "comma-separated sanitizers to arm at import (overflow,mutate,fork,float,shm,snapshot)",
+        "comma-separated sanitizers to arm at import (overflow,mutate,fork,float,snapshot)",
         "repro/analysis/sanitize/runtime.py",
     ),
     Knob(

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .concurrency import EscapeAnalysisRule, SharedGuardRule, ShmLifecycleRule
+from .concurrency import WriterLifecycleRule
 from .config import LintConfig
 from .service import AsyncDisciplineRule, EngineLifecycleRule, SnapshotEscapeRule
 from .engine import FileContext, Finding, ProjectRule, Rule, parse_contexts
@@ -51,9 +51,7 @@ __all__ = [
     "EnvKnobRule",
     "OverflowProofRule",
     "SanCoverageRule",
-    "EscapeAnalysisRule",
-    "ShmLifecycleRule",
-    "SharedGuardRule",
+    "WriterLifecycleRule",
     "AsyncDisciplineRule",
     "SnapshotEscapeRule",
     "EngineLifecycleRule",
@@ -1497,9 +1495,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     EnvKnobRule(),
     OverflowProofRule(),
     SanCoverageRule(),
-    EscapeAnalysisRule(),
-    ShmLifecycleRule(),
-    SharedGuardRule(),
+    WriterLifecycleRule(),
     AsyncDisciplineRule(),
     SnapshotEscapeRule(),
     EngineLifecycleRule(),

@@ -20,13 +20,11 @@ at runtime by arming cheap dynamic checks around the same invariants:
 ``float`` (RS004)
     NaN/inf escaping the statistical fit kernels, plus invalid
     floating-point operations trapped via ``np.seterr``.
-``shm`` (RS005)
-    shared-memory dispatch integrity for the zero-copy transport
-    (:mod:`repro.parallel.shm`).  Segments are fingerprinted at export
-    and re-hashed at release, lifecycle faults (double release, attach
-    after unlink) become traps, and :func:`verify_released` asserts no
-    owned segment outlives its dispatch — the dynamic twins of rules
-    RL015–RL017.
+``snapshot`` (RS006)
+    published-snapshot integrity for the streaming service
+    (:mod:`repro.serve`).  Snapshots are fingerprinted at publish and
+    re-hashed at lease release, and lease lifecycle faults become traps
+    — the dynamic twin of rules RL019/RL020.
 
 Arm sanitizers for a process with the declared knob
 ``REPRO_SAN=overflow,mutate`` (read once at package import), with

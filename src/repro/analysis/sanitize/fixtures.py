@@ -16,7 +16,6 @@ __all__ = [
     "probe_overflow",
     "probe_fork_mutation",
     "probe_nan_fit",
-    "probe_shm",
     "probe_snapshot",
     "PROBES",
 ]
@@ -79,31 +78,6 @@ def probe_nan_fit() -> None:
     fitting.fit_temporal(times, values, t0=1.0)
 
 
-def probe_shm() -> None:
-    """Scribble on an exported segment, then double-release it (RS005).
-
-    The byte flipped between export and release models a worker writing
-    through its zero-copy view; the second release is a lifecycle fault
-    the transport normally shrugs off.  Disarmed, both are silent and
-    the segment is still destroyed exactly once — the probe leaks
-    nothing either way.
-    """
-    from ...hypersparse.coo import HyperSparseMatrix
-    from ...parallel import shm
-
-    matrix = HyperSparseMatrix(
-        np.array([1], dtype=np.uint64),
-        np.array([2], dtype=np.uint64),
-        np.array([1.0]),
-        shape=(2**32, 2**32),
-    )
-    handle = shm.export_matrix(matrix)
-    seg = shm._created[handle.name]
-    seg.buf[-1] = (seg.buf[-1] + 1) % 256
-    shm.release(handle)
-    shm.release(handle)  # lint: allow-shm-lifecycle -- seeded double release
-
-
 def probe_snapshot() -> None:
     """Mutate a published snapshot, then over-release its lease (RS006).
 
@@ -132,6 +106,5 @@ PROBES = {
     "overflow": probe_overflow,
     "fork": probe_fork_mutation,
     "float": probe_nan_fit,
-    "shm": probe_shm,
     "snapshot": probe_snapshot,
 }

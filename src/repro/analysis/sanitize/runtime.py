@@ -49,7 +49,6 @@ SANITIZER_NAMES: Tuple[str, ...] = (
     "mutate",
     "fork",
     "float",
-    "shm",
     "snapshot",
 )
 
@@ -59,7 +58,6 @@ RULE_IDS: Dict[str, str] = {
     "mutate": "RS002",
     "fork": "RS003",
     "float": "RS004",
-    "shm": "RS005",
     "snapshot": "RS006",
 }
 
@@ -179,14 +177,13 @@ def _registry() -> Dict[str, Callable[[], Callable[[], None]]]:
     Lazy so ``import repro`` never pays for sanitizer wiring; each arm
     function performs its patches and returns the matching undo.
     """
-    from . import floats, fork, mutate, overflow, shm, snapshot
+    from . import floats, fork, mutate, overflow, snapshot
 
     return {
         "overflow": overflow.arm,
         "mutate": mutate.arm,
         "fork": fork.arm,
         "float": floats.arm,
-        "shm": shm.arm,
         "snapshot": snapshot.arm,
     }
 

@@ -3,8 +3,7 @@
 The streaming service (:mod:`repro.serve`) hands concurrent readers
 frozen, epoch-numbered snapshots; rule RL019 proves the freeze happens
 at the publish boundary and RL020 proves every acquire is matched by a
-release.  Armed, this sanitizer cross-validates both proofs at runtime,
-mirroring what RS005 does for the shm transport:
+release.  Armed, this sanitizer cross-validates both proofs at runtime:
 
 * every published snapshot is fingerprinted (SHA-256 over its canonical
   buffers, :func:`repro.serve.snapshot.snapshot_buffers`) and re-hashed
@@ -73,8 +72,7 @@ def _check(key: Tuple[int, int]) -> None:
 def verify_released() -> int:
     """Trap every lease still outstanding; returns how many there were.
 
-    Called at the end of a ``repro san`` / ``repro serve smoke`` run
-    (mirroring :func:`repro.analysis.sanitize.shm.verify_released`): a
+    Called at the end of a ``repro san`` / ``repro serve smoke`` run: a
     lease that survives its reader is a leak RL020's per-path proof
     could not see.  Silent when the sanitizer is not armed.
     """

@@ -125,7 +125,6 @@ _SANITIZER_RULES = (
     ("RS002", "mutate", "canonical buffer changed after construction"),
     ("RS003", "fork", "pool worker mutated its submitted input"),
     ("RS004", "float", "NaN/inf escaped a statistical fit kernel"),
-    ("RS005", "shm", "shared-memory dispatch integrity violated"),
     ("RS006", "snapshot", "published snapshot mutated or lease leaked"),
 )
 

@@ -499,7 +499,7 @@ class _EngineChecker(_FunctionChecker):
                 return
             env[var] = replace(state, closed=True)
             return
-        # unlink/abort are not part of the engine protocol; ignore.
+        # abort is not part of the engine protocol; ignore.
 
     def _check_epoch(self, stmt: ast.stmt) -> None:
         """Writer-epoch monotonicity: only ``epoch += <positive const>``.

@@ -9,7 +9,6 @@ matrices from packet shards in parallel.
 
 from .pool import configured_processes, cpu_count, get_pool, parallel_map, shutdown_pools
 from .shard import sharded_accumulate, sum_archive, update_peak_rss
-from .shm import ShmHandle, export_matrix, import_matrix, release, release_all, shm_enabled
 from .streaming import parallel_accumulate, shard_packets
 
 __all__ = [
@@ -23,10 +22,4 @@ __all__ = [
     "sharded_accumulate",
     "sum_archive",
     "update_peak_rss",
-    "ShmHandle",
-    "export_matrix",
-    "import_matrix",
-    "release",
-    "release_all",
-    "shm_enabled",
 ]

@@ -21,13 +21,11 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import os
-from multiprocessing import resource_tracker
 from multiprocessing.pool import Pool
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar, cast
 
 from ..analysis.knobs import env_int
 from ..obs.spans import TimedCall, annotate, record_span, span, trace_epoch, tracing_enabled
-from . import shm
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -112,11 +110,6 @@ def get_pool(processes: Optional[int] = None) -> Pool:
         if not _atexit_armed:
             atexit.register(shutdown_pools)
             _atexit_armed = True
-        # Start the shared-memory resource tracker before forking so the
-        # workers inherit it.  A worker that lazily spawns its own
-        # tracker would double-track segments it merely attached and
-        # complain about (or even unlink) them at worker exit.
-        resource_tracker.ensure_running()
         pool = _pools[n_proc] = _context().Pool(n_proc)
     return pool
 
@@ -127,9 +120,7 @@ def shutdown_pools() -> None:
     Safe to call repeatedly and from ``atexit`` after an explicit
     shutdown: a pool whose workers already died (or that some caller
     terminated behind our back) raises on double-close — the error is
-    swallowed so the remaining pools still get torn down.  Shared-memory
-    segments are destroyed with the pools: no dispatch buffer may
-    outlive the workers that could map it.
+    swallowed so the remaining pools still get torn down.
     """
     _reap_stale_pools()
     while _pools:
@@ -139,7 +130,6 @@ def shutdown_pools() -> None:
             pool.join()
         except (OSError, ValueError):
             pass
-    shm.release_all()
 
 
 def parallel_map(
@@ -185,43 +175,24 @@ def parallel_map(
     if chunksize is None:
         chunksize = max(1, len(items) // (n_proc * 4))
     pool = get_pool(n_proc)
-    # Zero-copy transport (REPRO_SHM): matrices ride shared-memory
-    # segments instead of the pickle pipe; everything else is unchanged.
-    # Segments live exactly as long as this map — released on every exit
-    # path, so no dispatch can leak one.
-    handles: List[shm.ShmHandle] = []
-    mapped_fn: Callable = fn
-    if shm.shm_enabled():
-        items, handles = shm.encode_items(items)
-        if handles:
-            mapped_fn = shm.ShmCall(fn)
     fork = _context().get_start_method() == "fork"
-    try:
-        with span("parallel_map", mode="pool"):
-            annotate(
-                items=len(items),
-                processes=n_proc,
-                chunksize=chunksize,
-                shm_segments=len(handles),
+    with span("parallel_map", mode="pool"):
+        annotate(items=len(items), processes=n_proc, chunksize=chunksize)
+        if not tracing_enabled():
+            return pool.map(fn, items, chunksize=chunksize)
+        # Workers time each item (TimedCall); the parent re-ingests the
+        # measurements as child spans of this parallel_map span.  On fork
+        # pools the worker's perf_counter shares the parent clock, so the
+        # re-anchored start times place items on the real timeline; on
+        # spawn pools only durations are trustworthy.
+        timed = pool.map(TimedCall(fn), items, chunksize=chunksize)
+        results: List[R] = []
+        for result, (t0_abs, wall_s, cpu_s) in timed:
+            record_span(
+                "pool_task",
+                wall_s,
+                cpu_s,
+                t_start=(t0_abs - trace_epoch()) if fork else None,
             )
-            if not tracing_enabled():
-                return pool.map(mapped_fn, items, chunksize=chunksize)
-            # Workers time each item (TimedCall); the parent re-ingests the
-            # measurements as child spans of this parallel_map span.  On fork
-            # pools the worker's perf_counter shares the parent clock, so the
-            # re-anchored start times place items on the real timeline; on
-            # spawn pools only durations are trustworthy.
-            timed = pool.map(TimedCall(mapped_fn), items, chunksize=chunksize)
-            results: List[R] = []
-            for result, (t0_abs, wall_s, cpu_s) in timed:
-                record_span(
-                    "pool_task",
-                    wall_s,
-                    cpu_s,
-                    t_start=(t0_abs - trace_epoch()) if fork else None,
-                )
-                results.append(cast("R", result))
-            return results
-    finally:
-        for handle in handles:
-            shm.release(handle)
+            results.append(cast("R", result))
+        return results

@@ -4,8 +4,7 @@ The scaling blueprint of the companion "40 trillion packets" paper
 (PAPERS.md): hierarchical summation is embarrassingly parallel at the
 sub-matrix level.  This module is the driver that exploits it under a
 memory ceiling — sub-matrix construction fans out over the persistent
-pool (:mod:`repro.parallel.pool`; canonical buffers ride the
-:mod:`repro.parallel.shm` zero-copy transport when ``REPRO_SHM=1``),
+pool (:mod:`repro.parallel.pool`; worker results come back pickled),
 results fold in deterministic item order into a **budgeted**
 :class:`~repro.hypersparse.hierarchical.HierarchicalMatrix`, and levels
 beyond the ``REPRO_MEM_BUDGET`` ceiling spill to columnar run files

@@ -65,8 +65,7 @@ def _lifecycle_fault(message: str) -> None:
 
     Deliberately silent in production — a misbehaving reader must not
     take the service down.  The ``snapshot`` sanitizer (RS006) rebinds
-    this to a trap recorder, exactly as RS005 does for the shm
-    transport's fault hook.
+    this to a trap recorder.
     """
 
 
@@ -193,10 +192,20 @@ class CorrelationEngine:
             return len(completed)
 
     def fold_month(self, time: float, sources: np.ndarray) -> None:
-        """Fold one honeyfarm month: its time and observed source set."""
+        """Fold one honeyfarm month: its time and observed source set.
+
+        ``sources`` must be integer addresses; a non-empty array of
+        another dtype, or one holding a negative value, raises
+        ``ValueError`` rather than wrapping into a false uint64 source.
+        """
         self._ensure_open()
+        arr = np.asarray(sources)
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"month sources must be integers, got dtype {arr.dtype}")
+        if arr.size and np.issubdtype(arr.dtype, np.signedinteger) and arr.min() < 0:
+            raise ValueError(f"month sources must be non-negative, got {int(arr.min())}")
         with self._lock:
-            uniq = np.unique(np.asarray(sources).astype(np.uint64))
+            uniq = np.unique(arr.astype(np.uint64))
             self._months.append((float(time), uniq))
             self._months.sort(key=lambda m: m[0])
 

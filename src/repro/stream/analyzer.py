@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..hypersparse import HierarchicalMatrix, HyperSparseMatrix
 from ..obs.metrics import PACKETS_INGESTED, inc
 from ..obs.spans import annotate, span
@@ -120,8 +122,29 @@ class StreamingWindowAnalyzer:
         """Packets in the currently open window."""
         return self._in_window
 
+    def _check_bounds(self, packets: Packets) -> None:
+        """Reject a batch holding an address outside ``shape``.
+
+        Runs before any state changes: a bad packet late in a batch must
+        not leave earlier windows closed but unreported.
+        """
+        n_rows, n_cols = self.shape
+        src, dst = packets.src, packets.dst
+        if src.size == 0 or (int(src.max()) < n_rows and int(dst.max()) < n_cols):
+            return
+        i = int(np.flatnonzero((src >= n_rows) | (dst >= n_cols))[0])
+        field, value = ("src", src[i]) if src[i] >= n_rows else ("dst", dst[i])
+        raise ValueError(
+            f"packet {i}: {field} address {int(value)} outside shape {self.shape}"
+        )
+
     def process(self, packets: Packets) -> List[WindowStats]:
-        """Absorb one batch; return any windows completed by it."""
+        """Absorb one batch; return any windows completed by it.
+
+        Raises ``ValueError`` (with no state changed) when any packet's
+        ``src``/``dst`` lies outside ``shape``.
+        """
+        self._check_bounds(packets)
         out: List[WindowStats] = []
         pos = 0
         n = len(packets)

@@ -123,69 +123,11 @@ class TestFloatSanitizer:
         assert take_traps() == []
 
 
-class TestShmSanitizer:
-    def test_traps_mutation_and_double_release(self):
-        from repro.parallel import shm as transport
-
-        with sanitizers(["shm"]):
-            probes.probe_shm()
-        by_rule = traps_by_rule()
-        assert "RS005" in by_rule
-        msgs = [t.message for t in by_rule["RS005"]]
-        assert any("changed between export and release" in m for m in msgs)
-        assert any("lifecycle fault" in m for m in msgs)
-        # The probe still destroyed its segment exactly once.
-        assert transport.active_segments() == []
-
-    def test_verify_released_traps_leaked_segment(self):
-        from repro.analysis.sanitize import shm as shm_san
-        from repro.parallel import shm as transport
-        from repro.hypersparse import HyperSparseMatrix
-
-        matrix = HyperSparseMatrix(
-            np.array([1], dtype=np.uint64),
-            np.array([2], dtype=np.uint64),
-            np.array([1.0]),
-            shape=(2**32, 2**32),
-        )
-        with sanitizers(["shm"]):
-            handle = transport.export_matrix(matrix)
-            assert shm_san.verify_released() == 1
-            transport.release(handle)
-            assert shm_san.verify_released() == 0
-        by_rule = traps_by_rule()
-        assert any("still alive at end of run" in t.message for t in by_rule["RS005"])
-
-    def test_verify_released_silent_when_disarmed(self):
-        from repro.analysis.sanitize import shm as shm_san
-
-        assert shm_san.verify_released() == 0
-        assert take_traps() == []
-
-    def test_silent_on_clean_dispatch(self):
-        from repro.parallel import shm as transport
-        from repro.hypersparse import HyperSparseMatrix
-
-        matrix = HyperSparseMatrix(
-            np.array([5], dtype=np.uint64),
-            np.array([6], dtype=np.uint64),
-            np.array([2.0]),
-            shape=(2**32, 2**32),
-        )
-        with sanitizers(["shm"]):
-            handle = transport.export_matrix(matrix)
-            out = transport.import_matrix(handle)
-            assert out.nnz == matrix.nnz
-            del out
-            transport.release(handle)
-        assert take_traps() == []
-
-
 class TestAllTogether:
     def test_all_armed_probe_suite_hits_every_rule(self):
-        with sanitizers(["overflow", "mutate", "fork", "float", "shm"]):
+        with sanitizers(["overflow", "mutate", "fork", "float"]):
             for probe in probes.PROBES.values():
                 probe()
             mutate.verify_frozen()
         rules = set(traps_by_rule())
-        assert {"RS001", "RS003", "RS004", "RS005"} <= rules
+        assert {"RS001", "RS003", "RS004"} <= rules

@@ -478,83 +478,8 @@ class TestEnvKnob:
         assert result.findings == []
 
 
-class TestEscapeAnalysis:
-    FILES = ("repro/parallel/pool.py", "repro/parallel/bad_escape.py")
-
-    def findings(self):
-        return run_rule("RL015", *self.FILES)
-
-    def test_mutable_global_escape_flagged(self):
-        msgs = [f.message for f in self.findings()]
-        assert any("'_QUEUE'" in m and "escapes to pool workers" in m for m in msgs)
-
-    def test_finding_names_the_mutation_site(self):
-        source = (FIXTURES / "repro/parallel/bad_escape.py").read_text().splitlines()
-        (finding,) = self.findings()
-        # The message points at the append that makes the queue mutable.
-        mutated_line = int(finding.message.split("line ")[1].split(")")[0])
-        assert ".append" in source[mutated_line - 1]
-
-    def test_proofs_stay_silent(self):
-        # Immutable global, registered shm buffer, parameter, local, and
-        # the allowlisted site: only the one unproven escape remains.
-        findings = self.findings()
-        assert len(findings) == 1
-        assert all("FROZEN" not in f.message for f in findings)
-        assert all("SEG" not in f.message for f in findings)
-
-    def test_finding_anchors_at_submission_site(self):
-        source = (FIXTURES / "repro/parallel/bad_escape.py").read_text().splitlines()
-        for f in self.findings():
-            assert "parallel_map" in source[f.line - 1]
-
-    def test_real_tree_clean(self):
-        result = lint_paths([SRC_REPRO], [rule_by_id("RL015")])
-        assert result.findings == []
-
-
-class TestShmLifecycle:
-    def findings(self):
-        return run_rule("RL016", "repro/parallel/bad_shm_lifecycle.py")
-
-    def test_create_without_unlink_flagged(self):
-        assert any(
-            "leaky_create" in f.message and "not unlinked" in f.message
-            for f in self.findings()
-        )
-
-    def test_attach_without_close_flagged(self):
-        assert any(
-            "forgetful_attach" in f.message and "not closed" in f.message
-            for f in self.findings()
-        )
-
-    def test_use_after_close_flagged(self):
-        assert any("use after free" in f.message for f in self.findings())
-
-    def test_double_unlink_on_one_path_flagged(self):
-        # The violation exists only on the `flaky` branch: the checker
-        # must enumerate paths, not just count calls.
-        assert any("more than once on some path" in f.message for f in self.findings())
-
-    def test_attach_side_unlink_flagged(self):
-        assert any("only the creator unlinks" in f.message for f in self.findings())
-
-    def test_exactly_the_five_hazards(self):
-        assert len(self.findings()) == 5
-
-    def test_clean_lifecycles_silent(self):
-        # try/finally cleanup with an early return, attach+close, and
-        # ownership transfer into a registry all discharge obligations.
-        assert run_rule("RL016", "repro/parallel/shm_lifecycle_ok.py") == []
-
-    def test_real_tree_clean(self):
-        result = lint_paths([SRC_REPRO], [rule_by_id("RL016")])
-        assert result.findings == []
-
-
 class TestWriterLifecycle:
-    """RL016 also typestates columnar spill writers (staged .tmp output)."""
+    """RL016 typestates columnar spill writers (staged .tmp output)."""
 
     def findings(self):
         return run_rule("RL016", "repro/traffic/bad_archive_lifecycle.py")
@@ -574,8 +499,8 @@ class TestWriterLifecycle:
         )
 
     def test_happy_path_only_close_flagged(self):
-        # The leak exists only on the retry branch: path-sensitive, like
-        # the shm double-unlink case.
+        # The leak exists only on the retry branch: the checker must
+        # enumerate paths, not just count calls.
         assert any("leaky_on_retry" in f.message for f in self.findings())
 
     def test_exactly_the_three_hazards(self):
@@ -587,33 +512,8 @@ class TestWriterLifecycle:
         # is the sanctioned idiom and is never tracked.
         assert run_rule("RL016", "repro/traffic/archive_lifecycle_ok.py") == []
 
-
-class TestSharedGuard:
-    FILES = ("repro/parallel/shm.py", "repro/parallel/bad_guard.py")
-
-    def findings(self):
-        return run_rule("RL017", *self.FILES)
-
-    def test_unguarded_write_flagged(self):
-        (finding,) = self.findings()
-        assert "'SEG'" in finding.message and "shm_guard" in finding.message
-
-    def test_finding_anchors_at_the_write(self):
-        source = (FIXTURES / "repro/parallel/bad_guard.py").read_text().splitlines()
-        (finding,) = self.findings()
-        assert "SEG.buf" in source[finding.line - 1]
-
-    def test_reads_do_not_need_the_guard(self):
-        assert all("read_back" not in f.message for f in self.findings())
-
-    def test_guarded_write_silent(self):
-        assert (
-            run_rule("RL017", "repro/parallel/shm.py", "repro/parallel/guard_ok.py")
-            == []
-        )
-
     def test_real_tree_clean(self):
-        result = lint_paths([SRC_REPRO], [rule_by_id("RL017")])
+        result = lint_paths([SRC_REPRO], [rule_by_id("RL016")])
         assert result.findings == []
 
 
@@ -725,7 +625,7 @@ class TestEngineLifecycle:
 
     def test_close_on_happy_path_only_flagged(self):
         # The leak exists only on the `batch is None` branch: the
-        # checker enumerates paths, like RL016's double-unlink case.
+        # checker enumerates paths, like RL016's retry-branch case.
         assert any("leaky_on_error" in f.message for f in self.findings())
 
     def test_epoch_rewind_flagged(self):

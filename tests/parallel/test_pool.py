@@ -36,10 +36,70 @@ def test_empty():
     assert parallel_map(square, []) == []
 
 
-def test_parallel_matches_serial():
+def scaled(matrix):
+    """Worker that derives a new matrix and returns it through the pipe."""
+    return matrix * 2.0
+
+
+def roundtrip(matrix):
+    """Worker that returns the matrix it was sent."""
+    return matrix
+
+
+def total(matrix):
+    return float(matrix.vals.sum())
+
+
+def matrices_of(rng, count=6, nnz=256):
+    from repro.hypersparse import HyperSparseMatrix
+
+    return [
+        HyperSparseMatrix(
+            rng.integers(0, 2**32, size=nnz, dtype=np.uint64),
+            rng.integers(0, 2**32, size=nnz, dtype=np.uint64),
+            rng.random(nnz),
+            shape=(2**32, 2**32),
+        )
+        for _ in range(count)
+    ]
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.keys.tobytes() == w.keys.tobytes()
+        assert g.vals.tobytes() == w.vals.tobytes()
+
+
+def test_parallel_matches_serial(rng):
     items = list(range(200))
     assert parallel_map(square, items, processes=2) == parallel_map(
         square, items, processes=1
+    )
+    # Matrices cross the pool boundary pickled, both ways.
+    matrices = matrices_of(rng)
+    assert_bit_identical(
+        parallel_map(scaled, matrices, processes=2, min_parallel=1),
+        parallel_map(scaled, matrices, processes=1),
+    )
+    assert parallel_map(total, matrices, processes=2, min_parallel=1) == [
+        total(m) for m in matrices
+    ]
+
+
+def test_workers_can_return_matrices(rng):
+    matrices = matrices_of(rng, count=4)
+    assert_bit_identical(
+        parallel_map(roundtrip, matrices, processes=2, min_parallel=1), matrices
+    )
+
+
+def test_derived_results_bit_identical_to_serial(rng):
+    matrices = matrices_of(rng, count=4)
+    assert_bit_identical(
+        parallel_map(scaled, matrices, processes=2, min_parallel=1),
+        [scaled(m) for m in matrices],
     )
 
 
@@ -54,17 +114,6 @@ def test_chunksize_override():
 
 def worker_pid(_):
     return os.getpid()
-
-
-def _tiny_matrix():
-    from repro.hypersparse import HyperSparseMatrix
-
-    return HyperSparseMatrix(
-        np.array([1, 2], dtype=np.uint64),
-        np.array([3, 4], dtype=np.uint64),
-        np.array([1.0, 2.0]),
-        shape=(2**32, 2**32),
-    )
 
 
 class TestPersistentPool:
@@ -131,14 +180,6 @@ class TestPersistentPool:
         assert parallel_map(square, list(range(20)), processes=2) == [
             x * x for x in range(20)
         ]
-
-    def test_shutdown_releases_shm_segments(self):
-        from repro.parallel import shm
-
-        handle = shm.export_matrix(_tiny_matrix())
-        assert shm.active_segments() == [handle.name]
-        shutdown_pools()
-        assert shm.active_segments() == []
 
 
 class TestProcessesEnv:

@@ -6,6 +6,7 @@ import pytest
 from repro.serve import CorrelationEngine, load_snapshot
 from repro.serve.cli import synthetic_batch, synthetic_month
 from repro.serve.engine import _MIN_FIT_MONTHS
+from repro.traffic.packet import Packets
 
 
 def folded_engine(n_windows=4, n_valid=256, seed=7):
@@ -32,6 +33,43 @@ class TestFolding:
             engine.fold_month(2.0, np.array([5, 1, 5], dtype=np.uint64))
             engine.fold_month(1.0, np.array([9], dtype=np.uint64))
             assert engine.months_folded == 2
+
+    def test_fold_month_rejects_negative_and_non_integer_sources(self):
+        with CorrelationEngine(64) as engine:
+            with pytest.raises(ValueError, match="non-negative"):
+                engine.fold_month(0.0, np.array([3, -1], dtype=np.int64))
+            with pytest.raises(ValueError, match="integers"):
+                engine.fold_month(0.0, np.array([1.0, 2.0]))
+            with pytest.raises(ValueError, match="integers"):
+                engine.fold_month(0.0, np.array([True]))
+            assert engine.months_folded == 0
+            # Empty months and the full uint64 range still fold.
+            engine.fold_month(0.0, np.array([], dtype=np.float64))
+            engine.fold_month(1.0, np.array([0, 2**64 - 1], dtype=np.uint64))
+            engine.fold_month(2.0, [5, 1, 5])
+            assert engine.months_folded == 3
+
+    def test_bad_address_leaves_state_unchanged(self):
+        # The out-of-range address sits in the second window of the batch:
+        # the first window must not close (and vanish) before the error.
+        good = np.arange(12, dtype=np.uint64)
+        bad_src, bad_dst = good.copy(), good.copy()
+        bad_src[10] = 2**33
+        bad_dst[9] = 2**32
+        with CorrelationEngine(8) as engine:
+            with pytest.raises(ValueError, match=r"packet 10: src address 8589934592"):
+                engine.fold_batch(Packets(np.arange(12.0), bad_src, good))
+            with pytest.raises(ValueError, match=r"packet 9: dst address 4294967296"):
+                engine.fold_batch(Packets(np.arange(12.0), good, bad_dst))
+            assert engine.window_count == 0
+            assert engine._analyzer.windows_emitted == 0
+            assert engine._analyzer.pending_packets == 0
+            assert engine.fold_batch(Packets(np.arange(12.0), good, good)) == 1
+            snap = engine.acquire()
+            try:
+                assert list(snap.window_index) == [0]
+            finally:
+                engine.release(snap)
 
     def test_window_indices_survive_restart_offset(self):
         engine = folded_engine(3)
