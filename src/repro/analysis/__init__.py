@@ -10,9 +10,14 @@ aggressive without silently corrupting the science:
 
 * :mod:`repro.analysis.engine` — an AST-walking rule engine with an
   in-source allowlist escape hatch (``# lint: allow-<tag>``);
-* :mod:`repro.analysis.rules` — the project rules (RL001–RL006):
-  unseeded randomness, dtype discipline, per-entry loops in hot paths,
-  ``__all__`` coverage, public docstrings, wall-clock reads;
+* :mod:`repro.analysis.rules` — the rule catalogue: seeded randomness
+  (RL001), dtype and packed-key width discipline (RL002, RL011, RL013),
+  no per-entry loops in hot paths (RL003), clock reads (RL006, RL007),
+  no re-sort of canonical runs (RL008), fork safety and immutability
+  over the whole-program flow graph (RL009, RL010), the knob registry
+  (RL012), and the writer, service and engine disciplines (RL016,
+  RL018–RL020, from :mod:`repro.analysis.concurrency` and
+  :mod:`repro.analysis.service`);
 * :mod:`repro.analysis.contracts` — runtime invariant validation of
   canonical form, off by default and switched on with
   ``REPRO_DEBUG_INVARIANTS=1``;

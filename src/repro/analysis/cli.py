@@ -8,11 +8,11 @@ Reached two ways::
 With no paths, lints the ``src/repro`` tree if the working directory
 looks like a checkout, else the installed ``repro`` package itself.
 Configuration comes from the nearest ``pyproject.toml``'s
-``[tool.repro-lint]`` table.  ``--changed-only`` reuses the on-disk
-cache (sound: identical results to a full run, see
-:mod:`repro.analysis.cache`); ``--sarif FILE`` additionally writes a
-SARIF 2.1.0 log for code-scanning upload.  Exit status: 0 clean, 1
-findings, 2 usage/IO/config error — so CI can gate on it directly.
+``[tool.repro-lint]`` table.  Every run is one cold serial pass: parse,
+per-file rules, flow graph, project rules.  ``--sarif FILE``
+additionally writes a SARIF 2.1.0 log for code-scanning upload.  Exit
+status: 0 clean, 1 findings, 2 usage/IO/config error — so CI can gate
+on it directly.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .cache import DEFAULT_CACHE_FILE, lint_paths_incremental
 from .config import ConfigError, load_config
-from .jobs import lint_paths_parallel
+from .engine import lint_paths
 from .knobs import format_knob_table
 from .report import (
     format_findings,
@@ -66,29 +65,6 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="also write a SARIF 2.1.0 log to FILE ('-' for stdout)",
-    )
-    p.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="reuse cached results for unchanged files (same findings as a full run)",
-    )
-    p.add_argument(
-        "--cache-file",
-        type=Path,
-        default=DEFAULT_CACHE_FILE,
-        metavar="FILE",
-        help=f"incremental cache location (default: {DEFAULT_CACHE_FILE})",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "lint files across N processes (default: REPRO_PROCESSES, else "
-            "serial); ignored with --changed-only, which stays serial for "
-            "cache soundness"
-        ),
     )
     p.add_argument(
         "--list-rules",
@@ -135,11 +111,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     rules = list(ALL_RULES)
-    if args.select:
+    if args.select is not None:
         try:
             rules = [rule_by_id(rid.strip()) for rid in args.select.split(",") if rid.strip()]
         except KeyError as exc:
             print(f"repro lint: {exc.args[0]}", file=sys.stderr)
+            return 2
+        if not rules:
+            print(f"repro lint: --select {args.select!r} names no rule", file=sys.stderr)
             return 2
 
     paths = [Path(p) for p in args.paths] if args.paths else _default_paths()
@@ -157,13 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
 
-    if args.changed_only:
-        result = lint_paths_incremental(
-            paths, rules, config, cache_file=args.cache_file
-        )
-    else:
-        # jobs=None defers to REPRO_PROCESSES; <=1 degrades to lint_paths.
-        result = lint_paths_parallel(paths, rules, config, jobs=args.jobs)
+    result = lint_paths(paths, rules, config)
 
     if args.sarif:
         sarif_text = format_sarif(result, rules)

@@ -278,10 +278,7 @@ class WriterLifecycleRule(ProjectRule):
     path-sensitive abstract interpreter over the typestate
     ``opened -> closed``.  Branches, loops (zero-or-one abstract
     iterations), ``try``/``finally`` and early returns are enumerated
-    path by path; a violation on *any* feasible path is reported.  The
-    files re-parsed here are the linted files themselves, so the
-    incremental cache's flow fingerprint already covers this rule's
-    inputs.
+    path by path; a violation on *any* feasible path is reported.
     """
 
     id = "RL016"

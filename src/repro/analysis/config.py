@@ -31,7 +31,6 @@ __all__ = [
     "ConfigError",
     "DEFAULT_HOT_MODULES",
     "DEFAULT_CANONICAL_SCOPE",
-    "DEFAULT_SAN_MANIFEST",
     "load_config",
     "find_pyproject",
 ]
@@ -47,21 +46,12 @@ DEFAULT_HOT_MODULES: Tuple[str, ...] = (
 #: Packages whose canonical-form data must never be re-sorted (RL008).
 DEFAULT_CANONICAL_SCOPE: Tuple[str, ...] = ("repro/hypersparse/",)
 
-#: Sanitizer-coverage manifest consumed by RL014, relative to the
-#: directory holding ``pyproject.toml``.  When the file does not exist
-#: (linting an installed package) RL014 reports nothing.
-DEFAULT_SAN_MANIFEST = "tests/analysis/sanitize/manifest.json"
-
 #: ``pyproject.toml`` keys accepted in ``[tool.repro-lint]`` and the
 #: :class:`LintConfig` fields they populate.
 _KEYS = {
     "hot-modules": "hot_modules",
     "canonical-scope": "canonical_scope",
-    "san-manifest": "san_manifest",
 }
-
-#: Keys whose value is a single string rather than a list of strings.
-_SCALAR_KEYS = frozenset({"san-manifest"})
 
 
 class ConfigError(ValueError):
@@ -74,7 +64,6 @@ class LintConfig:
 
     hot_modules: Tuple[str, ...] = DEFAULT_HOT_MODULES
     canonical_scope: Tuple[str, ...] = DEFAULT_CANONICAL_SCOPE
-    san_manifest: str = DEFAULT_SAN_MANIFEST
     #: Where the values came from (for diagnostics): ``"defaults"``,
     #: ``"<path to pyproject.toml>"`` or ``"defaults (no TOML parser)"``.
     source: str = field(default="defaults", compare=False)
@@ -118,15 +107,7 @@ def parse_table(table: Dict[str, Any], source: str) -> LintConfig:
     values: Dict[str, Any] = {"source": source}
     for key, attr in _KEYS.items():
         if key in table:
-            if key in _SCALAR_KEYS:
-                if not isinstance(table[key], str) or not table[key]:
-                    raise ConfigError(
-                        f"[tool.repro-lint] {key} in {source} must be a "
-                        f"non-empty string, got {table[key]!r}"
-                    )
-                values[attr] = table[key]
-            else:
-                values[attr] = _string_tuple(key, table[key], source)
+            values[attr] = _string_tuple(key, table[key], source)
     return LintConfig(**values)
 
 

@@ -31,7 +31,6 @@ in CI and pre-commit hooks.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -48,9 +47,6 @@ __all__ = [
     "LintResult",
     "lint_paths",
     "parse_contexts",
-    "check_contexts",
-    "run_file_rules",
-    "run_project_rules",
     "module_path",
 ]
 
@@ -124,17 +120,6 @@ class Rule:
         """Yield findings for one parsed file."""
         raise NotImplementedError
 
-    def extra_fingerprint(self, config: LintConfig) -> str:
-        """Hash of inputs beyond the linted files that shape findings.
-
-        Most rules are a pure function of (file contents, config) and
-        return ``""``.  A rule that reads anything else — RL014's
-        coverage manifest and the test files it lists — must fold that
-        content in here so the incremental cache stays sound: the cache
-        key includes every rule's extra fingerprint.
-        """
-        return ""
-
     def finding(self, ctx: "FileContext", node: ast.AST, message: str) -> Finding:
         """Build a :class:`Finding` anchored at an AST node."""
         return Finding(
@@ -155,14 +140,7 @@ class ProjectRule(Rule):
     callees, class field sets).  Findings are still anchored at file
     locations and still honour per-line ``# lint: allow-<tag>``
     suppression.
-
-    The engine binds the run's :class:`LintConfig` to :attr:`config`
-    before the project pass, so rules needing tree-level settings
-    (RL014's manifest location) can read them without doing their own
-    config discovery.
     """
-
-    config: Optional[LintConfig] = None
 
     def check(self, ctx: "FileContext") -> Iterator[Finding]:
         """Per-file pass: nothing — project rules run in the project pass."""
@@ -182,7 +160,6 @@ class FileContext:
     tree: ast.Module
     lines: List[str]
     config: LintConfig = field(default_factory=LintConfig)
-    sha256: str = ""  #: content hash (incremental-cache key)
     _allow: Optional[Dict[int, Set[str]]] = field(default=None, repr=False)
     _anchors: Optional[Dict[int, int]] = field(default=None, repr=False)
 
@@ -324,7 +301,6 @@ def _parse(path: Path, config: LintConfig) -> Tuple[Optional[FileContext], Optio
             tree=tree,
             lines=source.splitlines(),
             config=config,
-            sha256=hashlib.sha256(source.encode("utf-8")).hexdigest(),
         ),
         None,
     )
@@ -338,8 +314,7 @@ def parse_contexts(
 
     Returns ``(contexts, errors)``; unparsable files land in ``errors``
     rather than raising, so one bad file cannot hide the rest of the
-    tree.  Shared by :func:`lint_paths` and the incremental cache, which
-    both need the parsed tree plus content hashes.
+    tree.
     """
     cfg = config if config is not None else LintConfig()
     contexts: List[FileContext] = []
@@ -351,56 +326,6 @@ def parse_contexts(
         else:
             contexts.append(ctx)
     return contexts, errors
-
-
-def run_file_rules(ctx: FileContext, rules: Sequence[Rule]) -> List[Finding]:
-    """Run per-file rules over one context (suppression applied)."""
-    findings: List[Finding] = []
-    for rule in rules:
-        for f in rule.check(ctx):
-            if not ctx.allowed(f.line, rule.tag):
-                findings.append(f)
-    return findings
-
-
-def run_project_rules(
-    graph,
-    rules: Sequence["ProjectRule"],
-    contexts: Sequence[FileContext],
-) -> List[Finding]:
-    """Run project rules over a built flow graph (suppression applied)."""
-    by_path = {str(ctx.path): ctx for ctx in contexts}
-    cfg = contexts[0].config if contexts else LintConfig()
-    findings: List[Finding] = []
-    for rule in rules:
-        rule.config = cfg
-        for f in rule.check_project(graph):
-            ctx = by_path.get(f.path)
-            if ctx is None or not ctx.allowed(f.line, rule.tag):
-                findings.append(f)
-    return findings
-
-
-def check_contexts(
-    contexts: Sequence[FileContext],
-    rules: Sequence[Rule],
-) -> List[Finding]:
-    """Run ``rules`` over pre-parsed contexts (suppression applied).
-
-    Per-file rules run file by file; :class:`ProjectRule` instances run
-    once over the flow graph built from *all* contexts.
-    """
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    findings: List[Finding] = []
-    for ctx in contexts:
-        findings.extend(run_file_rules(ctx, file_rules))
-    if project_rules:
-        from .flow import build_flow_graph  # deferred: flow depends on engine types
-
-        graph = build_flow_graph(contexts)
-        findings.extend(run_project_rules(graph, project_rules, contexts))
-    return findings
 
 
 def lint_paths(
@@ -416,7 +341,24 @@ def lint_paths(
     ``[tool.repro-lint]`` table; defaults apply when omitted.
     """
     contexts, errors = parse_contexts(paths, config)
-    findings = check_contexts(contexts, rules)
+    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
+    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
+    findings: List[Finding] = []
+    for ctx in contexts:
+        for rule in file_rules:
+            findings.extend(
+                f for f in rule.check(ctx) if not ctx.allowed(f.line, rule.tag)
+            )
+    if project_rules:
+        from .flow import build_flow_graph  # deferred: flow depends on engine types
+
+        graph = build_flow_graph(contexts)
+        by_path = {str(ctx.path): ctx for ctx in contexts}
+        for rule in project_rules:
+            for f in rule.check_project(graph):
+                ctx = by_path.get(f.path)
+                if ctx is None or not ctx.allowed(f.line, rule.tag):
+                    findings.append(f)
     return LintResult(
         findings=sorted(findings),
         files_checked=len(contexts),

@@ -1,7 +1,7 @@
 """Project-wide dataflow analysis for repro-lint.
 
-The per-file rules (RL001–RL008) reason about one AST at a time.  The
-rules this module enables — fork-safety of pool workers (RL009),
+The per-file rules (RL001–RL003, RL006–RL008, RL011–RL013) reason about
+one AST at a time.  The rules this module enables — fork-safety of pool workers (RL009),
 immutability of canonical matrix fields (RL010) — need *whole-program*
 facts: who calls whom across modules, what a function (and everything it
 transitively calls) mutates, which classes own which fields.
@@ -38,7 +38,6 @@ project (and not picklable, which RL009 exploits).
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -53,7 +52,6 @@ __all__ = [
     "ModuleInfo",
     "FlowGraph",
     "build_flow_graph",
-    "extend_graph",
     "dotted_name",
     "ARRAY_MUTATORS",
     "CONTAINER_MUTATORS",
@@ -598,9 +596,8 @@ def _analyze_module(ctx: FileContext) -> ModuleInfo:
 class FlowGraph:
     """The project: modules, functions, classes, and name resolution."""
 
-    def __init__(self, modules: Dict[str, ModuleInfo], fingerprint: str) -> None:
+    def __init__(self, modules: Dict[str, ModuleInfo]) -> None:
         self.modules = modules
-        self.fingerprint = fingerprint
         self.functions: Dict[str, FunctionSummary] = {}
         self.classes: Dict[str, ClassInfo] = {}
         for info in modules.values():
@@ -747,41 +744,15 @@ class FlowGraph:
         return seen
 
 
-def extend_graph(graph: FlowGraph, contexts: Sequence[FileContext]) -> FlowGraph:
-    """A new graph over ``graph``'s modules plus freshly analyzed contexts.
-
-    Used by RL014 to join the already-built source graph with the
-    sanitizer-enabled test suites from the coverage manifest, so
-    reachability queries can start at test functions and land in
-    kernels.  On module-name collision the new context wins, matching
-    :func:`build_flow_graph`.  The fingerprint chains the base graph's
-    with the added contexts' hashes.
-    """
-    modules: Dict[str, ModuleInfo] = dict(graph.modules)
-    hasher = hashlib.sha256()
-    hasher.update(graph.fingerprint.encode("utf-8"))
-    for ctx in sorted(contexts, key=lambda c: c.module):
-        info = _analyze_module(ctx)
-        modules[info.name] = info
-        hasher.update(f"{info.name}:{ctx.sha256}\n".encode("utf-8"))
-    return FlowGraph(modules, fingerprint=hasher.hexdigest())
-
-
 def build_flow_graph(contexts: Sequence[FileContext]) -> FlowGraph:
     """Analyze parsed contexts into a :class:`FlowGraph`.
 
     When two files map to the same dotted module name (a fixture tree
     next to the real one), the later context wins — lint runs target one
     tree at a time, and tests build graphs from fixture contexts only.
-
-    The graph's ``fingerprint`` hashes every (module, content-sha)
-    pair, so the incremental cache can tell whether any cross-file fact
-    could have changed.
     """
     modules: Dict[str, ModuleInfo] = {}
-    hasher = hashlib.sha256()
     for ctx in sorted(contexts, key=lambda c: c.module):
         info = _analyze_module(ctx)
         modules[info.name] = info
-        hasher.update(f"{info.name}:{ctx.sha256}\n".encode("utf-8"))
-    return FlowGraph(modules, fingerprint=hasher.hexdigest())
+    return FlowGraph(modules)

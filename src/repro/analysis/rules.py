@@ -3,10 +3,12 @@
 Each rule encodes one of the domain invariants the reproduction's
 correctness rests on; ``docs/STATIC_ANALYSIS.md`` is the user-facing
 catalogue (its rule table is generated from the ``scope``/``doc``
-attributes here — single source of truth).  RL001–RL008 and
-RL011–RL013 are pure per-file AST checks; RL009, RL010 and RL014 are
+attributes here — single source of truth).  RL001–RL003, RL006–RL008
+and RL011–RL013 are pure per-file AST checks; RL009 and RL010 are
 :class:`~repro.analysis.engine.ProjectRule` subclasses reasoning over
-the whole-program :class:`~repro.analysis.flow.FlowGraph`.  Scoping
+the whole-program :class:`~repro.analysis.flow.FlowGraph`, as are
+RL016 and RL018–RL020 (:mod:`repro.analysis.concurrency`,
+:mod:`repro.analysis.service`).  Scoping
 (which packages a rule patrols) lives here, suppression
 (``# lint: allow-<tag>``) lives in the engine.
 """
@@ -14,15 +16,11 @@ the whole-program :class:`~repro.analysis.flow.FlowGraph`.  Scoping
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .concurrency import WriterLifecycleRule
-from .config import LintConfig
 from .service import AsyncDisciplineRule, EngineLifecycleRule, SnapshotEscapeRule
-from .engine import FileContext, Finding, ProjectRule, Rule, parse_contexts
+from .engine import FileContext, Finding, ProjectRule, Rule
 from .intervals import (
     PYINT,
     UNKNOWN,
@@ -40,8 +38,6 @@ __all__ = [
     "UnseededRandomRule",
     "DtypeDisciplineRule",
     "EntryLoopRule",
-    "ModuleAllRule",
-    "PublicDocstringRule",
     "WallClockRule",
     "TimerDisciplineRule",
     "ResortRule",
@@ -50,7 +46,6 @@ __all__ = [
     "DtypeWidthRule",
     "EnvKnobRule",
     "OverflowProofRule",
-    "SanCoverageRule",
     "WriterLifecycleRule",
     "AsyncDisciplineRule",
     "SnapshotEscapeRule",
@@ -317,79 +312,6 @@ class EntryLoopRule(Rule):
                     "sort/searchsorted/reduceat or mark '# lint: allow-loop' "
                     "with a justification",
                 )
-
-
-class ModuleAllRule(Rule):
-    """RL004 — every public module declares ``__all__``.
-
-    ``__all__`` is the module's public contract; without it, refactors
-    silently change what ``import *`` and the docs consider API.
-    """
-
-    id = "RL004"
-    tag = "all"
-    description = "public module without __all__"
-    scope = "public modules"
-    doc = (
-        "Every public module declares `__all__`, keeping the import surface "
-        "deliberate. Modules whose name starts with `_` are exempt."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag public modules lacking a top-level ``__all__``."""
-        stem = ctx.path.stem
-        if stem.startswith("_") and stem != "__init__":
-            return
-        for node in ctx.tree.body:
-            targets: Sequence[ast.expr] = ()
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = (node.target,)
-            for t in targets:
-                if isinstance(t, ast.Name) and t.id == "__all__":
-                    return
-        yield Finding(
-            path=str(ctx.path),
-            line=1,
-            col=1,
-            rule_id=self.id,
-            message="public module does not declare __all__",
-        )
-
-
-class PublicDocstringRule(Rule):
-    """RL005 — every public function, method and class has a docstring."""
-
-    id = "RL005"
-    tag = "docstring"
-    description = "public function/class without a docstring"
-    scope = "public modules"
-    doc = (
-        "Public functions, classes, and methods carry docstrings. Names "
-        "starting with `_` are exempt."
-    )
-
-    def _public_defs(
-        self, body: Sequence[ast.stmt], prefix: str
-    ) -> Iterator[Tuple[str, ast.AST]]:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not node.name.startswith("_"):
-                    yield f"{prefix}{node.name}", node
-            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                yield f"{prefix}{node.name}", node
-                yield from self._public_defs(node.body, f"{prefix}{node.name}.")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag public defs missing docstrings (module-level and in classes)."""
-        stem = ctx.path.stem
-        if stem.startswith("_") and stem != "__init__":
-            return
-        for qualname, node in self._public_defs(ctx.tree.body, ""):
-            if not ast.get_docstring(node):
-                kind = "class" if isinstance(node, ast.ClassDef) else "function"
-                yield self.finding(ctx, node, f"public {kind} {qualname!r} has no docstring")
 
 
 class WallClockRule(Rule):
@@ -1305,187 +1227,11 @@ class OverflowProofRule(Rule):
         )
 
 
-class SanCoverageRule(ProjectRule):
-    """RL014 — every kernel entry point is exercised under sanitizers.
-
-    The sanitizer runtime (:mod:`repro.analysis.sanitize`) only observes
-    code that actually runs under it; this rule closes the loop
-    statically.  The coverage manifest (``[tool.repro-lint]``'s
-    ``san-manifest`` key, default
-    ``tests/analysis/sanitize/manifest.json``) lists the test suites CI
-    runs with ``REPRO_SAN`` armed.  The rule parses those suites, joins
-    them onto the already-built source flow graph, and demands that
-    every public function and public method of the configured
-    hot modules is reachable — through resolved calls, or through a
-    method name invoked on *some* receiver within the reachable
-    closure (instance types are not tracked, so bare-name method
-    matching keeps the check honest without false alarms) — from at
-    least one test function in those suites.
-
-    When the manifest does not exist (linting an installed package from
-    an arbitrary directory) the rule reports nothing.  Its
-    :meth:`extra_fingerprint` folds the manifest and every listed test
-    file into the incremental-cache key, so editing a sanitizer test
-    invalidates cached RL014 verdicts exactly like editing source does.
-    """
-
-    id = "RL014"
-    tag = "san-coverage"
-    description = "hot-module kernel entry point unreachable from sanitizer-enabled tests"
-    scope = "project-wide (flow + san manifest)"
-    doc = (
-        "Sanitizer coverage: every public function and public method of the "
-        "configured hot modules must be reachable — through the project "
-        "call graph, extended with the test suites listed in the coverage "
-        "manifest (`[tool.repro-lint]` `san-manifest`, default "
-        "`tests/analysis/sanitize/manifest.json`) — from at least one test "
-        "that CI runs with `REPRO_SAN` armed (see "
-        "[SANITIZERS.md](SANITIZERS.md)).  A kernel no sanitizer-enabled "
-        "test exercises is a kernel the runtime cross-validation never "
-        "sees; add a test under one of the manifest's suites or extend the "
-        "manifest."
-    )
-
-    def _locate(self, config: LintConfig) -> Tuple[Path, Optional[Path]]:
-        """The tree root and the manifest path (None when absent)."""
-        source = config.source
-        if source and not source.startswith("defaults"):
-            root = Path(source).parent
-        else:
-            root = Path.cwd()
-        manifest = root / config.san_manifest
-        return root, (manifest if manifest.is_file() else None)
-
-    def _suites(
-        self, root: Path, manifest: Path
-    ) -> Tuple[Optional[List[str]], Optional[str]]:
-        """The manifest's suite list, or an error message."""
-        try:
-            data = json.loads(manifest.read_text())
-        except (OSError, ValueError) as exc:
-            return None, f"unreadable coverage manifest: {exc}"
-        suites = data.get("suites") if isinstance(data, dict) else None
-        if not (
-            isinstance(suites, list)
-            and suites
-            and all(isinstance(s, str) for s in suites)
-        ):
-            return None, (
-                "coverage manifest must be a JSON object with a non-empty "
-                "'suites' list of test paths"
-            )
-        return suites, None
-
-    def extra_fingerprint(self, config: LintConfig) -> str:
-        """Hash the manifest plus every test file it lists."""
-        root, manifest = self._locate(config)
-        if manifest is None:
-            return "rl014:no-manifest"
-        h = hashlib.sha256()
-        try:
-            h.update(manifest.read_bytes())
-        except OSError:
-            return "rl014:unreadable-manifest"
-        suites, err = self._suites(root, manifest)
-        if suites is not None:
-            contexts, errors = parse_contexts(
-                [root / s for s in suites if (root / s).exists()], config
-            )
-            for ctx in sorted(contexts, key=lambda c: str(c.path)):
-                h.update(f"{ctx.path}:{ctx.sha256}\n".encode())
-            for e in sorted(errors):
-                h.update(e.encode())
-        return h.hexdigest()
-
-    def check_project(self, graph) -> Iterator[Finding]:
-        """Flag hot-module entry points no sanitizer-enabled test reaches."""
-        from .flow import extend_graph
-
-        cfg = self.config if self.config is not None else LintConfig()
-        root, manifest = self._locate(cfg)
-        if manifest is None:
-            return
-        suites, err = self._suites(root, manifest)
-        if suites is None:
-            yield Finding(
-                path=str(manifest),
-                line=1,
-                col=1,
-                rule_id=self.id,
-                message=err or "malformed coverage manifest",
-            )
-            return
-        missing = [s for s in suites if not (root / s).exists()]
-        if missing:
-            yield Finding(
-                path=str(manifest),
-                line=1,
-                col=1,
-                rule_id=self.id,
-                message=(
-                    "coverage manifest lists missing suite path(s): "
-                    + ", ".join(missing)
-                ),
-            )
-        contexts, _ = parse_contexts(
-            [root / s for s in suites if (root / s).exists()], cfg
-        )
-        if not contexts:
-            return
-        combined = extend_graph(graph, contexts)
-        test_modules = set(combined.modules) - set(graph.modules)
-
-        reached: Set[str] = set()
-        for key, summary in combined.functions.items():
-            if summary.module in test_modules:
-                reached.add(key)
-                reached |= combined.transitive_callees(key)
-        called_names: Set[str] = set()
-        for key in reached:
-            summary = combined.functions.get(key)
-            if summary is None:
-                continue
-            for site in summary.calls:
-                head, _, meth = site.raw.rpartition(".")
-                if head and meth and combined.resolve_call(summary, site.raw) is None:
-                    called_names.add(meth)
-
-        manifest_rel = cfg.san_manifest
-        for info in graph.modules.values():
-            if info.path not in cfg.hot_modules:
-                continue
-            for qual, summary in sorted(info.functions.items()):
-                if qual == "<module>" or summary.name.startswith("_"):
-                    continue
-                if summary.cls is not None:
-                    if summary.cls.startswith("_"):
-                        continue
-                    cls_info = info.classes.get(summary.cls)
-                    if cls_info is not None and summary.name in cls_info.properties:
-                        continue  # attribute reads never appear as calls
-                if summary.key in reached or summary.name in called_names:
-                    continue
-                yield Finding(
-                    path=info.file,
-                    line=summary.lineno,
-                    col=1,
-                    rule_id=self.id,
-                    message=(
-                        f"kernel entry point {summary.key} is not reachable "
-                        "from any sanitizer-enabled test (coverage manifest "
-                        f"{manifest_rel}); add a test under one of its "
-                        "suites, or extend the manifest"
-                    ),
-                )
-
-
 #: Every shipped rule, in catalogue order.
 ALL_RULES: Tuple[Rule, ...] = (
     UnseededRandomRule(),
     DtypeDisciplineRule(),
     EntryLoopRule(),
-    ModuleAllRule(),
-    PublicDocstringRule(),
     WallClockRule(),
     TimerDisciplineRule(),
     ResortRule(),
@@ -1494,7 +1240,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     DtypeWidthRule(),
     EnvKnobRule(),
     OverflowProofRule(),
-    SanCoverageRule(),
     WriterLifecycleRule(),
     AsyncDisciplineRule(),
     SnapshotEscapeRule(),

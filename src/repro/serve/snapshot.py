@@ -18,6 +18,8 @@ passing through :func:`freeze_snapshot` is a lint finding.
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
@@ -180,6 +182,10 @@ def save_snapshot(snap: EngineSnapshot, path: Union[str, Path]) -> Path:
     Arrays go in as-is; scalar and dataclass state rides in a JSON
     header.  JSON float round-trips are exact (shortest-repr), so
     :func:`load_snapshot` reproduces the snapshot bit-identically.
+
+    The archive is written to ``<path>.tmp``, fsynced and atomically
+    renamed into place, so a save that fails part-way leaves the
+    previous archive at ``path`` intact.
     """
     path = Path(path)
     header = {
@@ -202,69 +208,90 @@ def save_snapshot(snap: EngineSnapshot, path: Union[str, Path]) -> Path:
         arrays[f"dd{i}_edges"] = dist.edges
         arrays[f"dd{i}_counts"] = dist.counts
         arrays[f"dd{i}_prob"] = dist.prob
-    with path.open("wb") as fh:
-        np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), np.uint8), **arrays)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), np.uint8), **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
+def _read_archive(data) -> EngineSnapshot:
+    """Rebuild the frozen snapshot from an open ``.npz`` archive."""
+    header = json.loads(bytes(data["header"]))
+    if header.get("format") != SNAPSHOT_FORMAT_VERSION:
+        raise ValueError(f"unsupported snapshot format: {header.get('format')!r}")
+    quantities = tuple(NetworkQuantities(**q) for q in header["quantities"])
+    dists = tuple(
+        BinnedDistribution(
+            edges=data[f"dd{i}_edges"],
+            counts=data[f"dd{i}_counts"],
+            prob=data[f"dd{i}_prob"],
+            n_total=meta["n_total"],
+            d_max=meta["d_max"],
+        )
+        for i, meta in enumerate(header["degree_distributions"])
+    )
+    corr_meta = header["correlation"]
+    correlation = (
+        PeakCorrelation(
+            bins=tuple(
+                PeakBinResult(
+                    bin=DegreeBin(b["lo"], b["hi"]),
+                    n_telescope=b["n_telescope"],
+                    n_common=b["n_common"],
+                )
+                for b in corr_meta["bins"]
+            ),
+            n_valid=corr_meta["n_valid"],
+        )
+        if corr_meta is not None
+        else None
+    )
+    fit_meta = header["fit"]
+    fit = (
+        FitResult(
+            family=fit_meta["family"],
+            params=tuple(fit_meta["params"]),
+            param_names=tuple(fit_meta["param_names"]),
+            t0=fit_meta["t0"],
+            scale=fit_meta["scale"],
+            loss=fit_meta["loss"],
+        )
+        if fit_meta is not None
+        else None
+    )
+    return freeze_snapshot(
+        EngineSnapshot(
+            epoch=int(header["epoch"]),
+            n_valid=int(header["n_valid"]),
+            window_index=data["window_index"],
+            window_start=data["window_start"],
+            window_end=data["window_end"],
+            quantities=quantities,
+            degree_distributions=dists,
+            month_times=data["month_times"],
+            overlap_fractions=data["overlap_fractions"],
+            correlation=correlation,
+            fit=fit,
+        )
+    )
+
+
 def load_snapshot(path: Union[str, Path]) -> EngineSnapshot:
-    """Load a :func:`save_snapshot` archive back into a frozen snapshot."""
-    with np.load(Path(path)) as data:
-        header = json.loads(bytes(data["header"]))
-        if header.get("format") != SNAPSHOT_FORMAT_VERSION:
-            raise ValueError(f"unsupported snapshot format: {header.get('format')!r}")
-        quantities = tuple(NetworkQuantities(**q) for q in header["quantities"])
-        dists = tuple(
-            BinnedDistribution(
-                edges=data[f"dd{i}_edges"],
-                counts=data[f"dd{i}_counts"],
-                prob=data[f"dd{i}_prob"],
-                n_total=meta["n_total"],
-                d_max=meta["d_max"],
-            )
-            for i, meta in enumerate(header["degree_distributions"])
-        )
-        corr_meta = header["correlation"]
-        correlation = (
-            PeakCorrelation(
-                bins=tuple(
-                    PeakBinResult(
-                        bin=DegreeBin(b["lo"], b["hi"]),
-                        n_telescope=b["n_telescope"],
-                        n_common=b["n_common"],
-                    )
-                    for b in corr_meta["bins"]
-                ),
-                n_valid=corr_meta["n_valid"],
-            )
-            if corr_meta is not None
-            else None
-        )
-        fit_meta = header["fit"]
-        fit = (
-            FitResult(
-                family=fit_meta["family"],
-                params=tuple(fit_meta["params"]),
-                param_names=tuple(fit_meta["param_names"]),
-                t0=fit_meta["t0"],
-                scale=fit_meta["scale"],
-                loss=fit_meta["loss"],
-            )
-            if fit_meta is not None
-            else None
-        )
-        return freeze_snapshot(
-            EngineSnapshot(
-                epoch=int(header["epoch"]),
-                n_valid=int(header["n_valid"]),
-                window_index=data["window_index"],
-                window_start=data["window_start"],
-                window_end=data["window_end"],
-                quantities=quantities,
-                degree_distributions=dists,
-                month_times=data["month_times"],
-                overlap_fractions=data["overlap_fractions"],
-                correlation=correlation,
-                fit=fit,
-            )
-        )
+    """Load a :func:`save_snapshot` archive back into a frozen snapshot.
+
+    A truncated, non-archive or incomplete file raises ``ValueError``
+    naming ``path``.
+    """
+    path = Path(path)
+    try:
+        with np.load(path) as data:
+            return _read_archive(data)
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: unreadable snapshot archive: {exc}") from exc

@@ -30,6 +30,13 @@ class TestExitStatus:
     def test_usage_error_on_unknown_rule(self):
         assert lint_main(["--select", "RL999", str(FIXTURES / "clean")]) == 2
 
+    def test_usage_error_on_empty_selection(self, capsys):
+        # A selection naming no rule would lint nothing and pass.
+        assert lint_main(["--select", ",", str(FIXTURES / "repro")]) == 2
+        captured = capsys.readouterr()
+        assert "names no rule" in captured.err
+        assert captured.out == ""
+
 
 class TestReproSubcommand:
     def test_lint_subcommand_delegates(self, capsys):
@@ -56,24 +63,31 @@ class TestReproSubcommand:
 
 class TestOutput:
     def test_select_restricts_rules(self, capsys):
-        assert lint_main(["--select", "RL004", str(FIXTURES / "repro")]) == 1
+        assert lint_main(["--select", "RL006", str(FIXTURES / "repro")]) == 1
         out = capsys.readouterr().out
-        assert "RL004" in out and "RL001" not in out
+        assert "RL006" in out and "RL001" not in out
 
     def test_findings_use_path_line_col_format(self, capsys):
-        lint_main(["--select", "RL004", str(FIXTURES / "repro" / "d4m" / "no_all.py")])
+        lint_main([str(FIXTURES / "repro" / "bad_random_import.py")])
         first = capsys.readouterr().out.splitlines()[0]
-        assert first.endswith("no_all.py:1:1: RL004 public module does not declare __all__")
+        assert first.endswith(
+            "bad_random_import.py:3:1: RL001 import of RNG functions from "
+            "'random' (randint); use repro.rand or a seeded "
+            "np.random.default_rng(seed)"
+        )
 
     def test_json_format(self, capsys):
-        lint_main(["--format", "json", str(FIXTURES / "repro" / "d4m" / "no_all.py")])
+        lint_main(["--format", "json", str(FIXTURES / "repro" / "bad_random_import.py")])
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["findings"][0]["rule"] == "RL004"
+        assert payload["findings"][0]["rule"] == "RL001"
 
     def test_list_rules_catalogue(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rid in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
-            assert rid in out
+        listed = {line.split()[0] for line in out.splitlines() if line.startswith("RL")}
+        assert listed == (
+            {"RL001", "RL002", "RL003", "RL016", "RL018", "RL019", "RL020"}
+            | {f"RL{n:03d}" for n in range(6, 14)}
+        )
         assert "allow-loop" in out

@@ -236,13 +236,3 @@ class TestResolution:
         s = g.functions["repro.m:f"]
         assert g.resolve_call(s, "np.sort") is None
         assert g.resolve_call(s, "nowhere.at.all") is None
-
-
-class TestFingerprint:
-    def test_content_change_changes_fingerprint(self, tmp_path):
-        files = {"a.py": "X = 1\n", "b.py": "Y = 2\n"}
-        g1 = build(tmp_path, files)
-        g2 = build(tmp_path, files)
-        assert g1.fingerprint == g2.fingerprint
-        g3 = build(tmp_path, {**files, "b.py": "Y = 3\n"})
-        assert g3.fingerprint != g1.fingerprint

@@ -26,55 +26,64 @@ def lint_source(tmp_path, source, rule_id):
 
 
 class TestDecoratedDefs:
+    # An expression in the signature (here an unseeded default RNG)
+    # lands its finding on the ``def`` line, below the decorators.
     SOURCE = """\
         import functools
-        __all__ = ["timed"]
+        import numpy as np
+        __all__ = ["sample"]
         {comment}
         @functools.lru_cache
         @functools.wraps(print)
-        def timed():
-            pass
+        def sample(n, rng=np.random.default_rng()):
+            return rng.integers(n)
         """
 
     def test_unsuppressed_decorated_def_flagged(self, tmp_path):
         findings = lint_source(
-            tmp_path, self.SOURCE.format(comment=""), "RL005"
+            tmp_path, self.SOURCE.format(comment=""), "RL001"
         )
-        assert len(findings) == 1  # missing docstring, anchored at `def`
+        assert len(findings) == 1  # unseeded default_rng(), anchored at `def`
+        assert findings[0].line == 7
 
     def test_comment_above_decorator_chain_suppresses(self, tmp_path):
         findings = lint_source(
             tmp_path,
-            self.SOURCE.format(comment="# lint: allow-docstring"),
-            "RL005",
+            self.SOURCE.format(comment="# lint: allow-random"),
+            "RL001",
         )
         assert findings == []
 
     def test_comment_on_first_decorator_line_suppresses(self, tmp_path):
         source = self.SOURCE.format(comment="").replace(
-            "@functools.lru_cache", "@functools.lru_cache  # lint: allow-docstring"
+            "@functools.lru_cache", "@functools.lru_cache  # lint: allow-random"
         )
-        assert lint_source(tmp_path, source, "RL005") == []
+        assert lint_source(tmp_path, source, "RL001") == []
 
     def test_comment_on_def_line_still_suppresses(self, tmp_path):
         source = self.SOURCE.format(comment="").replace(
-            "def timed():", "def timed():  # lint: allow-docstring"
+            "rng=np.random.default_rng()):",
+            "rng=np.random.default_rng()):  # lint: allow-random",
         )
-        assert lint_source(tmp_path, source, "RL005") == []
+        assert lint_source(tmp_path, source, "RL001") == []
 
     def test_decorated_class_suppressed_from_above_decorators(self, tmp_path):
         source = """\
             import functools
-            __all__ = ["C"]
-            # lint: allow-docstring
+            import numpy as np
+            __all__ = ["Sampler"]
+            {comment}
             @functools.total_ordering
-            class C:
+            class Sampler(object, rng=np.random.default_rng()):
                 def __eq__(self, other):
                     return True
                 def __lt__(self, other):
                     return False
             """
-        assert lint_source(tmp_path, source, "RL005") == []
+        flagged = lint_source(tmp_path, source.format(comment=""), "RL001")
+        assert [f.line for f in flagged] == [6]  # the `class` line
+        suppressed = source.format(comment="# lint: allow-random")
+        assert lint_source(tmp_path, suppressed, "RL001") == []
 
 
 class TestMultiLineStatements:

@@ -1,9 +1,12 @@
 """CorrelationEngine: lifecycle, queries, save/restore round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.serve import CorrelationEngine, load_snapshot
+from repro.serve import snapshot as snapshot_module
 from repro.serve.cli import synthetic_batch, synthetic_month
 from repro.serve.engine import _MIN_FIT_MONTHS
 from repro.traffic.packet import Packets
@@ -225,3 +228,64 @@ class TestSaveRestore:
         loaded = load_snapshot(path)
         with pytest.raises(ValueError):
             loaded.window_start[0] = 0.0
+
+
+def snapshot_bytes(snap):
+    """Every array of a snapshot as raw bytes, for bit-identity checks."""
+    out = [
+        snap.window_index.tobytes(),
+        snap.window_start.tobytes(),
+        snap.window_end.tobytes(),
+        snap.month_times.tobytes(),
+        snap.overlap_fractions.tobytes(),
+    ]
+    for dist in snap.degree_distributions:
+        out += [dist.edges.tobytes(), dist.counts.tobytes(), dist.prob.tobytes()]
+    return out
+
+
+class TestSnapshotDurability:
+    @pytest.mark.parametrize("cut", ["zero", "ten", "half", "five-short"])
+    def test_truncated_archive_raises_value_error_naming_path(self, tmp_path, cut):
+        engine = folded_engine(2)
+        path = tmp_path / "snap.npz"
+        engine.save(path)
+        engine.close()
+        blob = path.read_bytes()
+        offset = {"zero": 0, "ten": 10, "half": len(blob) // 2, "five-short": len(blob) - 5}
+        path.write_bytes(blob[: offset[cut]])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_snapshot(path)
+
+    def test_archive_missing_member_raises_value_error(self, tmp_path):
+        path = tmp_path / "other.npz"
+        np.savez(path, unrelated=np.arange(3))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_snapshot(path)
+
+    def test_failed_save_leaves_prior_archive_restorable(self, tmp_path, monkeypatch):
+        engine = folded_engine(2)
+        path = tmp_path / "snap.npz"
+        engine.save(path)
+        prior = load_snapshot(path)
+        engine.fold_batch(synthetic_batch(7, 2, 256, 1024))
+
+        def torn_savez(fh, **arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise OSError("simulated crash mid-write")
+
+        monkeypatch.setattr(snapshot_module.np, "savez", torn_savez)
+        with pytest.raises(OSError, match="mid-write"):
+            engine.save(path)
+        monkeypatch.undo()
+        engine.close()
+
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.npz"]
+        restored = load_snapshot(path)
+        assert restored.epoch == prior.epoch
+        assert snapshot_bytes(restored) == snapshot_bytes(prior)
+        resumed = CorrelationEngine.restore(path, cutoff=1 << 8)
+        try:
+            assert resumed.window_count == 2
+        finally:
+            resumed.close()
