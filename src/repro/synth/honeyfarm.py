@@ -3,10 +3,11 @@
 Observes the shared population in month-long windows.  An *active* source
 is detected with the Fig-4 logarithmic brightness probability (its chance
 of touching — and conversing with — a sensor during the month); detections
-are enriched with D4M-style metadata (classification, intent, actor tags)
-and a low-intensity noise pool visible only to the honeyfarm inflates the
-monthly source counts, as the real GreyNoise's commercial noise-labelling
-database dwarfs any single telescope window (Table I).
+are enriched with D4M-style metadata (classification, intent, actor tags),
+built only when a caller reads it, and a low-intensity noise pool visible
+only to the honeyfarm inflates the monthly source counts, as the real
+GreyNoise's commercial noise-labelling database dwarfs any single
+telescope window (Table I).
 
 Because sensors respond to probes, the honeyfarm's traffic matrix occupies
 *both* the external→internal and internal→external quadrants (Fig 1);
@@ -16,7 +17,8 @@ exhibiting that structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -44,9 +46,12 @@ _INTENTS = np.asarray(
 _INTENT_WEIGHTS = np.asarray([0.55, 0.15, 0.12, 0.13, 0.05])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HoneyfarmMonth:
     """One month of honeyfarm observations.
+
+    Equality and hashing are by identity: two observations of the same
+    month hold equal data but compare unequal.
 
     Attributes
     ----------
@@ -59,23 +64,31 @@ class HoneyfarmMonth:
     sources:
         Sorted unique source addresses detected this month (population
         detections plus honeyfarm-only noise).
-    enrichment:
-        String-valued :class:`~repro.d4m.Assoc`: rows are source IPs,
-        columns ``classification`` / ``intent`` / ``first_seen``.
-    hits:
-        Numeric :class:`~repro.d4m.Assoc` of per-source sensor-hit counts.
     responses:
         Sampled sensor→source response packets (internal→external
         quadrant evidence for Fig 1).
+    enrichment:
+        String-valued :class:`~repro.d4m.Assoc`: rows are source IPs,
+        columns ``classification`` / ``intent`` / ``first_seen``.  Built
+        on first read and cached.
+    hits:
+        Numeric :class:`~repro.d4m.Assoc` of per-source sensor-hit counts.
+        Built on first read and cached.
     """
 
     month_index: int
     label: str
     days: int
     sources: np.ndarray
-    enrichment: Assoc
-    hits: Assoc
     responses: Packets
+    # Inputs of the lazy builders: the population seed, the detected
+    # sources' population indices, addresses and expected degrees, and
+    # the honeyfarm-only noise addresses.
+    _seed: int = field(repr=False)
+    _det_idx: np.ndarray = field(repr=False)
+    _det_addrs: np.ndarray = field(repr=False)
+    _det_degree: np.ndarray = field(repr=False)
+    _noise_addrs: np.ndarray = field(repr=False)
 
     @property
     def n_sources(self) -> int:
@@ -86,9 +99,107 @@ class HoneyfarmMonth:
         """Sorted unique detected source addresses."""
         return self.sources
 
+    @cached_property
+    def enrichment(self) -> Assoc:
+        """String-valued metadata in D4M layout (rows: IPs)."""
+        return _build_enrichment(
+            self._seed, self._det_idx, self._det_addrs, self._noise_addrs, self.label
+        )
+
+    @cached_property
+    def hits(self) -> Assoc:
+        """Numeric per-source sensor-hit counts, brightness-proportional."""
+        return _build_hits(
+            self._seed,
+            self._det_idx,
+            self._det_addrs,
+            self._det_degree,
+            self._noise_addrs,
+            self.month_index,
+        )
+
+
+def _categorical(
+    values: np.ndarray, weights: np.ndarray, seed: int, idx: np.ndarray
+) -> np.ndarray:
+    """Stable per-source categorical labels via counter hashing."""
+    u = hash_u64(seed, idx).astype(np.float64) / float(2**64)
+    cuts = np.cumsum(weights)
+    return values[np.searchsorted(cuts, u, side="right").clip(0, values.size - 1)]
+
+
+@traced(name="honeyfarm_enrichment")
+def _build_enrichment(
+    seed: int,
+    det_idx: np.ndarray,
+    det_addrs: np.ndarray,
+    noise_addrs: np.ndarray,
+    label: str,
+) -> Assoc:
+    det_ips = ints_to_ips(det_addrs)
+    noise_ips = ints_to_ips(noise_addrs)
+    rows = []
+    cols = []
+    vals = []
+    if det_ips.size:
+        classification = _categorical(
+            _CLASSIFICATIONS, _CLASS_WEIGHTS, seed ^ 0xC1A55, det_idx
+        )
+        intent = _categorical(_INTENTS, _INTENT_WEIGHTS, seed ^ 0x1B7E17, det_idx)
+        rows += [det_ips, det_ips, det_ips]
+        cols += [
+            np.full(det_ips.size, "classification"),
+            np.full(det_ips.size, "intent"),
+            np.full(det_ips.size, "first_seen"),
+        ]
+        vals += [classification, intent, np.full(det_ips.size, label)]
+    if noise_ips.size:
+        rows += [noise_ips, noise_ips]
+        cols += [
+            np.full(noise_ips.size, "classification"),
+            np.full(noise_ips.size, "intent"),
+        ]
+        vals += [
+            np.full(noise_ips.size, "benign"),
+            np.full(noise_ips.size, "crawler"),
+        ]
+    if not rows:
+        return Assoc.empty()
+    return Assoc(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+
+
+@traced(name="honeyfarm_enrichment")
+def _build_hits(
+    seed: int,
+    det_idx: np.ndarray,
+    det_addrs: np.ndarray,
+    det_degree: np.ndarray,
+    noise_addrs: np.ndarray,
+    month: int,
+) -> Assoc:
+    if det_addrs.size == 0 and noise_addrs.size == 0:
+        return Assoc.empty()
+    det_hits = np.maximum(
+        1.0,
+        np.round(
+            np.log2(det_degree + 1.0)
+            * (
+                1.0
+                + (hash_u64(seed ^ 0x417, det_idx, month).astype(np.float64) / 2**64)
+            )
+        ),
+    )
+    rows = ints_to_ips(np.concatenate([det_addrs, noise_addrs]))
+    vals = np.concatenate([det_hits, np.ones(noise_addrs.size)])
+    return Assoc(rows, "sensor_hits", vals)
+
 
 class HoneyfarmSimulator:
-    """Month-resolution honeyfarm observation of a source population."""
+    """Month-resolution honeyfarm observation of a source population.
+
+    :meth:`observe_month` computes a month's sources and responses; its
+    enrichment metadata and hit counts are built only when read.
+    """
 
     def __init__(
         self,
@@ -96,14 +207,12 @@ class HoneyfarmSimulator:
         *,
         config_boost: float = CONFIG_BOOST,
         boost_months: Tuple[int, ...] = CONFIG_CHANGE_MONTHS,
-        enrich: bool = True,
         max_response_packets: int = 4096,
     ):
         self.population = population
         self.config = population.config
         self.config_boost = float(config_boost)
         self.boost_months = tuple(boost_months)
-        self.enrich = bool(enrich)
         self.max_response_packets = int(max_response_packets)
         self._labels = month_labels(self.config.n_months)
 
@@ -124,105 +233,22 @@ class HoneyfarmSimulator:
         sources = np.sort(np.concatenate([det_addrs, noise_addrs]))
 
         label = self._labels[m]
-        days = month_days(label)
-        if self.enrich:
-            enrichment = self._build_enrichment(det_idx, det_addrs, noise_addrs, label)
-            hits = self._build_hits(det_idx, det_addrs, noise_addrs, m)
-        else:
-            enrichment = Assoc.empty()
-            hits = Assoc.empty()
         responses = self._build_responses(det_addrs, m)
         annotate(month=m, sources=int(sources.size))
         return HoneyfarmMonth(
             month_index=m,
             label=label,
-            days=days,
+            days=month_days(label),
             sources=sources,
-            enrichment=enrichment,
-            hits=hits,
             responses=responses,
+            _seed=self.config.seed,
+            _det_idx=det_idx,
+            _det_addrs=det_addrs,
+            _det_degree=pop.expected_degree[det_idx],
+            _noise_addrs=noise_addrs,
         )
 
     # -- internals ----------------------------------------------------------
-
-    def _categorical(
-        self, values: np.ndarray, weights: np.ndarray, salt: int, idx: np.ndarray
-    ) -> np.ndarray:
-        """Stable per-source categorical labels via counter hashing."""
-        u = hash_u64(self.config.seed ^ salt, idx).astype(np.float64) / float(2**64)
-        cuts = np.cumsum(weights)
-        return values[np.searchsorted(cuts, u, side="right").clip(0, values.size - 1)]
-
-    def _build_enrichment(
-        self,
-        det_idx: np.ndarray,
-        det_addrs: np.ndarray,
-        noise_addrs: np.ndarray,
-        label: str,
-    ) -> Assoc:
-        """String-valued metadata in D4M layout (rows: IPs)."""
-        det_ips = ints_to_ips(det_addrs)
-        noise_ips = ints_to_ips(noise_addrs)
-        rows = []
-        cols = []
-        vals = []
-        if det_ips.size:
-            classification = self._categorical(
-                _CLASSIFICATIONS, _CLASS_WEIGHTS, 0xC1A55, det_idx
-            )
-            intent = self._categorical(_INTENTS, _INTENT_WEIGHTS, 0x1B7E17, det_idx)
-            rows += [det_ips, det_ips, det_ips]
-            cols += [
-                np.full(det_ips.size, "classification"),
-                np.full(det_ips.size, "intent"),
-                np.full(det_ips.size, "first_seen"),
-            ]
-            vals += [classification, intent, np.full(det_ips.size, label)]
-        if noise_ips.size:
-            rows += [noise_ips, noise_ips]
-            cols += [
-                np.full(noise_ips.size, "classification"),
-                np.full(noise_ips.size, "intent"),
-            ]
-            vals += [
-                np.full(noise_ips.size, "benign"),
-                np.full(noise_ips.size, "crawler"),
-            ]
-        if not rows:
-            return Assoc.empty()
-        return Assoc(
-            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-        )
-
-    def _build_hits(
-        self,
-        det_idx: np.ndarray,
-        det_addrs: np.ndarray,
-        noise_addrs: np.ndarray,
-        month: int,
-    ) -> Assoc:
-        """Numeric per-source sensor-hit counts, brightness-proportional."""
-        pop = self.population
-        if det_addrs.size == 0 and noise_addrs.size == 0:
-            return Assoc.empty()
-        det_hits = np.maximum(
-            1.0,
-            np.round(
-                np.log2(pop.expected_degree[det_idx] + 1.0)
-                * (
-                    1.0
-                    + (
-                        hash_u64(self.config.seed ^ 0x417, det_idx, month).astype(
-                            np.float64
-                        )
-                        / 2**64
-                    )
-                )
-            ),
-        )
-        rows = ints_to_ips(np.concatenate([det_addrs, noise_addrs]))
-        vals = np.concatenate([det_hits, np.ones(noise_addrs.size)])
-        return Assoc(rows, "sensor_hits", vals)
 
     def _build_responses(self, det_addrs: np.ndarray, month: int) -> Packets:
         """Sampled sensor conversations: each picked source probes a sensor

@@ -1,9 +1,12 @@
 """Honeyfarm simulator: monthly enriched source observations."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.synth import HoneyfarmSimulator, ModelConfig, SourcePopulation
+from repro.synth import honeyfarm
 from repro.synth.calibration import CONFIG_CHANGE_MONTHS
 
 
@@ -75,10 +78,57 @@ class TestEnrichment:
         _, _, vals = month.hits.triples()
         assert np.all(vals >= 1.0)
 
-    def test_enrichment_can_be_disabled(self, pop):
-        bare = HoneyfarmSimulator(pop, enrich=False).observe_month(3)
-        assert bare.enrichment.nnz == 0
-        assert bare.sources.size > 0
+
+#: SHA-256 of the enrichment and hit-count triples of months 0-14 of the
+#: module population, captured before enrichment became lazy.
+ENRICHMENT_DIGEST = "f89f156848bacd71e0927fdba11497f898d4ed0f570cf251fea68f01d652ae9e"
+
+
+class TestLazyEnrichment:
+    @pytest.fixture
+    def assoc_calls(self, monkeypatch):
+        calls = []
+        real = honeyfarm.Assoc
+
+        class CountingAssoc(real):
+            def __init__(self, *args, **kwargs):
+                calls.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(honeyfarm, "Assoc", CountingAssoc)
+        return calls
+
+    def test_observation_builds_no_assoc(self, farm, assoc_calls):
+        obs = farm.observe_month(3)
+        assert obs.sources.size > 0 and obs.n_sources == obs.sources.size
+        assert len(obs.responses) > 0
+        assert assoc_calls == []
+
+    @pytest.mark.parametrize("attr", ["enrichment", "hits"])
+    def test_first_read_builds_once(self, farm, assoc_calls, attr):
+        obs = farm.observe_month(3)
+        first = getattr(obs, attr)
+        assert len(assoc_calls) == 1
+        assert getattr(obs, attr) is first
+        assert len(assoc_calls) == 1
+
+    def test_triples_match_eager_digest(self, farm):
+        h = hashlib.sha256()
+        for m in range(15):
+            obs = farm.observe_month(m)
+            for a in (obs.enrichment, obs.hits):
+                for arr in a.triples():
+                    arr = np.asarray(arr)
+                    h.update(str(arr.dtype).encode())
+                    h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == ENRICHMENT_DIGEST
+
+
+def test_month_equality_is_identity(farm, month):
+    assert month == month
+    assert month != farm.observe_month(6)
+    assert hash(month) == hash(month)
+    assert month in {month}
 
 
 class TestResponses:
