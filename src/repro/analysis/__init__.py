@@ -15,9 +15,8 @@ aggressive without silently corrupting the science:
   no per-entry loops in hot paths (RL003), clock reads (RL006, RL007),
   no re-sort of canonical runs (RL008), fork safety and immutability
   over the whole-program flow graph (RL009, RL010), the knob registry
-  (RL012), and the writer, service and engine disciplines (RL016,
-  RL018–RL020, from :mod:`repro.analysis.concurrency` and
-  :mod:`repro.analysis.service`);
+  (RL012), and the writer and engine lifecycles (RL016 and RL020, from
+  :mod:`repro.analysis.concurrency` and :mod:`repro.analysis.service`);
 * :mod:`repro.analysis.contracts` — runtime invariant validation of
   canonical form, off by default and switched on with
   ``REPRO_DEBUG_INVARIANTS=1``;

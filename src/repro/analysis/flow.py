@@ -204,8 +204,6 @@ class FunctionSummary:
     names_read: Set[str] = field(default_factory=set)
     #: parameters plus locally-bound names (shadow module globals)
     local_names: Set[str] = field(default_factory=set)
-    #: defined with ``async def`` (runs on an event loop; RL018 scope)
-    is_async: bool = False
 
     @property
     def key(self) -> str:
@@ -461,7 +459,6 @@ def _summarize_function(
         name=node.name,
         lineno=node.lineno,
         cls=cls,
-        is_async=isinstance(node, ast.AsyncFunctionDef),
     )
     visitor = _Summarizer(summary)
     for arg in _all_args(node.args):

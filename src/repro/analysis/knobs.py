@@ -125,7 +125,7 @@ KNOBS: Tuple[Knob, ...] = (
         "REPRO_SAN",
         "list",
         "(empty)",
-        "comma-separated sanitizers to arm at import (overflow,mutate,fork,float,snapshot)",
+        "comma-separated sanitizers to arm at import (overflow,mutate,fork,float)",
         "repro/analysis/sanitize/runtime.py",
     ),
     Knob(

@@ -7,7 +7,7 @@ attributes here — single source of truth).  RL001–RL003, RL006–RL008
 and RL011–RL013 are pure per-file AST checks; RL009 and RL010 are
 :class:`~repro.analysis.engine.ProjectRule` subclasses reasoning over
 the whole-program :class:`~repro.analysis.flow.FlowGraph`, as are
-RL016 and RL018–RL020 (:mod:`repro.analysis.concurrency`,
+RL016 and RL020 (:mod:`repro.analysis.concurrency`,
 :mod:`repro.analysis.service`).  Scoping
 (which packages a rule patrols) lives here, suppression
 (``# lint: allow-<tag>``) lives in the engine.
@@ -19,7 +19,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .concurrency import WriterLifecycleRule
-from .service import AsyncDisciplineRule, EngineLifecycleRule, SnapshotEscapeRule
+from .service import EngineLifecycleRule
 from .engine import FileContext, Finding, ProjectRule, Rule
 from .intervals import (
     PYINT,
@@ -47,8 +47,6 @@ __all__ = [
     "EnvKnobRule",
     "OverflowProofRule",
     "WriterLifecycleRule",
-    "AsyncDisciplineRule",
-    "SnapshotEscapeRule",
     "EngineLifecycleRule",
     "ALL_RULES",
     "rule_by_id",
@@ -1241,8 +1239,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     EnvKnobRule(),
     OverflowProofRule(),
     WriterLifecycleRule(),
-    AsyncDisciplineRule(),
-    SnapshotEscapeRule(),
     EngineLifecycleRule(),
 )
 

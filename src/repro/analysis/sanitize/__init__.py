@@ -11,8 +11,9 @@ at runtime by arming cheap dynamic checks around the same invariants:
     interval proof — and arms ``np.seterr`` for floating overflow.
 ``mutate`` (RS002)
     writes to canonical buffers after construction.  Buffers are frozen
-    (``writeable=False``) and fingerprinted when a kernel object is
-    built; :func:`verify_frozen` re-hashes them on demand.
+    (``writeable=False``) and fingerprinted when a kernel object or a
+    published engine snapshot (:mod:`repro.serve`) is built;
+    :func:`verify_frozen` re-hashes them on demand.
 ``fork`` (RS003)
     worker-side mutation of inputs submitted to the process pool, which
     fork semantics silently discard.  Each submission is fingerprinted
@@ -20,11 +21,6 @@ at runtime by arming cheap dynamic checks around the same invariants:
 ``float`` (RS004)
     NaN/inf escaping the statistical fit kernels, plus invalid
     floating-point operations trapped via ``np.seterr``.
-``snapshot`` (RS006)
-    published-snapshot integrity for the streaming service
-    (:mod:`repro.serve`).  Snapshots are fingerprinted at publish and
-    re-hashed at lease release, and lease lifecycle faults become traps
-    — the dynamic twin of rules RL019/RL020.
 
 Arm sanitizers for a process with the declared knob
 ``REPRO_SAN=overflow,mutate`` (read once at package import), with

@@ -79,14 +79,14 @@ def probe_nan_fit() -> None:
 
 
 def probe_snapshot() -> None:
-    """Mutate a published snapshot, then over-release its lease (RS006).
+    """Write through a published snapshot's buffer (RS002).
 
     The scribble models a reader (or a buggy writer) writing through a
-    published buffer between publish and release — the writeable flag is
-    flipped back first, exactly the defeat RS006's fingerprints exist to
-    catch.  The second release is a lease lifecycle fault the engine
-    normally shrugs off.  Disarmed, both are silent and the engine closes
-    cleanly — the probe leaks nothing either way.
+    published buffer while holding its lease — the writeable flag is
+    flipped back first, exactly the defeat the mutate sanitizer's
+    fingerprints exist to catch at :func:`~repro.analysis.sanitize.mutate.verify_frozen`.
+    Disarmed, the write is silent and the engine closes cleanly — the
+    probe leaks no lease either way.
     """
     from ...serve.cli import synthetic_batch
     from ...serve.engine import CorrelationEngine
@@ -98,13 +98,12 @@ def probe_snapshot() -> None:
         start.flags.writeable = True  # defeat the publish-time freeze
         start[0] += 1.0
         engine.release(snap)
-        engine.release(snap)  # lint: allow-engine-lifecycle -- seeded over-release
 
 
 #: Probe registry, keyed by the sanitizer each one seeds a fault for.
 PROBES = {
     "overflow": probe_overflow,
+    "mutate": probe_snapshot,
     "fork": probe_fork_mutation,
     "float": probe_nan_fit,
-    "snapshot": probe_snapshot,
 }

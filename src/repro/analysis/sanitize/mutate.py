@@ -2,9 +2,10 @@
 
 Kernel objects (:class:`~repro.hypersparse.coo.HyperSparseMatrix`,
 :class:`~repro.hypersparse.coo.SparseVec`,
-:class:`~repro.d4m.assoc.Assoc`) are immutable by contract — rule RL010
-proves no *source* statement mutates them, but aliasing through NumPy
-views can defeat any static check.  Armed, this sanitizer hooks every
+:class:`~repro.d4m.assoc.Assoc`) and published engine snapshots
+(:class:`~repro.serve.snapshot.EngineSnapshot`) are immutable by
+contract — rule RL010 proves no *source* statement mutates the kernel
+objects, but aliasing through NumPy views can defeat any static check.  Armed, this sanitizer hooks every
 construction (via :func:`repro.analysis.contracts.add_construct_hook`)
 and
 
@@ -48,6 +49,10 @@ _BUFFER_ATTRS = {
 
 def _buffers(kind: str, obj: Any) -> List[np.ndarray]:
     """The object's canonical ndarray buffers (lazy/absent ones skipped)."""
+    if kind == "snapshot":
+        from ...serve.snapshot import snapshot_buffers
+
+        return list(snapshot_buffers(obj))
     out = []
     for attr in _BUFFER_ATTRS.get(kind, ()):
         arr = getattr(obj, attr, None)

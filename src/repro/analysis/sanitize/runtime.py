@@ -49,7 +49,6 @@ SANITIZER_NAMES: Tuple[str, ...] = (
     "mutate",
     "fork",
     "float",
-    "snapshot",
 )
 
 #: SARIF rule ids, one per sanitizer (the dynamic counterpart of RLxxx).
@@ -58,7 +57,6 @@ RULE_IDS: Dict[str, str] = {
     "mutate": "RS002",
     "fork": "RS003",
     "float": "RS004",
-    "snapshot": "RS006",
 }
 
 #: Distinct trap sites retained before further recording is dropped (a
@@ -177,14 +175,13 @@ def _registry() -> Dict[str, Callable[[], Callable[[], None]]]:
     Lazy so ``import repro`` never pays for sanitizer wiring; each arm
     function performs its patches and returns the matching undo.
     """
-    from . import floats, fork, mutate, overflow, snapshot
+    from . import floats, fork, mutate, overflow
 
     return {
         "overflow": overflow.arm,
         "mutate": mutate.arm,
         "fork": fork.arm,
         "float": floats.arm,
-        "snapshot": snapshot.arm,
     }
 
 

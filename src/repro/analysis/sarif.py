@@ -16,7 +16,7 @@ from the repository root (CI does).
 
 The sanitizer runtime (:mod:`repro.analysis.sanitize`) reports into the
 same format: :func:`sanitizer_sarif` renders recorded traps as a
-``repro-san`` run (rules RS001-RS006), and :func:`merge_sarif` folds any
+``repro-san`` run (rules RS001-RS004), and :func:`merge_sarif` folds any
 number of single-run logs into one multi-run log, so the static findings
 and the dynamic traps of a CI pipeline land in a single upload.
 """
@@ -119,13 +119,12 @@ def format_sarif(result: LintResult, rules: Sequence[Rule]) -> str:
     return json.dumps(to_sarif(result, rules), indent=2) + "\n"
 
 
-#: Short descriptions for the sanitizer rule catalogue (RS001-RS006).
+#: Short descriptions for the sanitizer rule catalogue (RS001-RS004).
 _SANITIZER_RULES = (
     ("RS001", "overflow", "uint64 wraparound in a packed-key kernel"),
     ("RS002", "mutate", "canonical buffer changed after construction"),
     ("RS003", "fork", "pool worker mutated its submitted input"),
     ("RS004", "float", "NaN/inf escaped a statistical fit kernel"),
-    ("RS006", "snapshot", "published snapshot mutated or lease leaked"),
 )
 
 

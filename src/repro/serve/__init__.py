@@ -8,22 +8,19 @@ readers share epoch-numbered **immutable snapshots** with save/restore.
 
 Layers:
 
-* :mod:`repro.serve.engine` — the synchronous, internally-locked core;
-* :mod:`repro.serve.snapshot` — frozen snapshots, publish-time freezing,
-  on-disk archives;
-* :mod:`repro.serve.aio` — the asyncio façade (single writer, many
-  readers);
-* :mod:`repro.serve.shims` — the only sanctioned routes for blocking
-  work off the event loop (enforced by RL018).
+* :mod:`repro.serve.engine` — the synchronous, internally-locked core
+  (one writer thread, any number of reader threads);
+* :mod:`repro.serve.snapshot` — self-freezing snapshots and on-disk
+  archives;
+* :mod:`repro.serve.cli` — ``repro serve smoke``, a threaded
+  writer/readers driver.
 
-The concurrency discipline is gated statically by RL018-RL020 and
-re-proved at runtime by the RS006 ``snapshot`` sanitizer; see
-``docs/STREAMING.md``.
+The lease discipline is gated statically by RL020, and published
+snapshots are fingerprinted at runtime by the ``mutate`` sanitizer
+(RS002); see ``docs/STREAMING.md``.
 """
 
-from .aio import AsyncCorrelationService
 from .engine import CorrelationEngine
-from .shims import to_pool, to_thread
 from .snapshot import (
     EngineSnapshot,
     freeze_snapshot,
@@ -33,13 +30,10 @@ from .snapshot import (
 )
 
 __all__ = [
-    "AsyncCorrelationService",
     "CorrelationEngine",
     "EngineSnapshot",
     "freeze_snapshot",
     "load_snapshot",
     "save_snapshot",
     "snapshot_buffers",
-    "to_pool",
-    "to_thread",
 ]

@@ -3,32 +3,32 @@
 Currently one subcommand::
 
     repro serve smoke [--batches N] [--batch-size B] [--n-valid V]
-                      [--readers K] [--seed S] [--save FILE]
+                      [--readers K] [--sources P] [--seed S] [--save FILE]
 
 which stands up an engine, folds a seeded synthetic packet stream plus
-one honeyfarm month per closed window, and hammers the published
-snapshots with concurrent readers while the writer keeps publishing.
-With ``REPRO_SAN=snapshot`` armed this is the RS006 end-to-end check:
-every reader release re-verifies the snapshot fingerprint, and the run
-ends with a ``verify_released`` leak sweep.  Exit status: 0 clean, 1
-sanitizer traps or leaked leases, 2 usage error.
+one honeyfarm month per closed window on the calling thread, and
+hammers the published snapshots with ``--readers`` reader threads while
+the writer keeps publishing.  With ``REPRO_SAN=mutate`` armed this is
+the RS002 end-to-end check: every published snapshot is fingerprinted
+at construction and re-hashed by ``verify_frozen`` at the end of the
+run.  Counts must be at least 1 (``--batches`` at least 0).  Exit
+status: 0 clean, 1 sanitizer traps or leaked leases, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
+import threading
+import time
 from typing import List, Optional
 
 import numpy as np
 
+from ..analysis.sanitize import mutate as san_mutate
 from ..analysis.sanitize import runtime as san_runtime
-from ..analysis.sanitize import snapshot as san_snapshot
 from ..rand import hash_u64
 from ..traffic.packet import Packets
-from .aio import AsyncCorrelationService
 from .engine import CorrelationEngine
-from .shims import to_thread
 
 __all__ = ["main", "synthetic_batch", "synthetic_month"]
 
@@ -55,84 +55,110 @@ def synthetic_month(seed: int, month: int, n_sources: int) -> np.ndarray:
     return pool[keep]
 
 
-async def _reader(
-    service: AsyncCorrelationService, stop: asyncio.Event, n_valid: int
-) -> int:
-    """Lease/verify/release snapshots until the writer finishes."""
+def _reader(
+    engine: CorrelationEngine, stop: threading.Event, n_valid: int, out: list
+) -> None:
+    """Lease/verify/release snapshots until the writer finishes.
+
+    Appends the read count to ``out``, or the exception that stopped
+    the reader, for :func:`_smoke` to report after the join.  Every
+    reader reads at least once, and its last read follows the writer's
+    final publish.
+    """
     reads = 0
-    while not stop.is_set():
-        snap = await service.snapshot()
-        try:
-            if snap.window_count:
-                latest = snap.quantities[-1]
-                assert latest.valid_packets == n_valid, latest
-                assert snap.degree_distributions[-1].n_total > 0
-        finally:
-            await service.release(snap)
-        reads += 1
-        await asyncio.sleep(0)
-    return reads
+    try:
+        while True:
+            done = stop.is_set()
+            snap = engine.acquire()
+            try:
+                if snap.window_count:
+                    latest = snap.quantities[-1]
+                    assert latest.valid_packets == n_valid, latest
+                    assert snap.degree_distributions[-1].n_total > 0
+            finally:
+                engine.release(snap)
+            reads += 1
+            if done:
+                break
+    except Exception as exc:  # re-raised on the calling thread after the join
+        out.append(exc)
+        return
+    out.append(reads)
 
 
-async def _smoke_run(engine: CorrelationEngine, ns: argparse.Namespace) -> dict:
-    service = AsyncCorrelationService(engine)
-    stop = asyncio.Event()
-
-    async def writer() -> int:
-        months = 0
-        for b in range(ns.batches):
-            batch = await to_thread(
-                synthetic_batch, ns.seed, b, ns.batch_size, ns.sources
-            )
-            closed = await service.fold_batch(batch)
-            for _ in range(closed):
-                sources = await to_thread(synthetic_month, ns.seed, months, ns.sources)
-                await service.fold_month(float(months), sources)
-                months += 1
-            if closed:
-                await service.publish()
-        await service.publish()
-        stop.set()
-        return months
-
-    results = await asyncio.gather(
-        writer(), *(_reader(service, stop, ns.n_valid) for _ in range(ns.readers))
-    )
-    if ns.save:
-        await service.save(ns.save)
-    leaked = engine.outstanding_leases()
-    await service.close()
-    return {
-        "windows": engine.window_count,
-        "epoch": engine.epoch,
-        "months": results[0],
-        "reads": sum(results[1:]),
-        "leaked": leaked,
-    }
+def _write(engine: CorrelationEngine, ns: argparse.Namespace) -> int:
+    """Fold the synthetic stream and publish per closing batch; return months."""
+    months = 0
+    for b in range(ns.batches):
+        closed = engine.fold_batch(synthetic_batch(ns.seed, b, ns.batch_size, ns.sources))
+        for _ in range(closed):
+            engine.fold_month(float(months), synthetic_month(ns.seed, months, ns.sources))
+            months += 1
+        if closed:
+            engine.publish()
+        # Hand the interpreter to the readers between batches: a Python
+        # lock is not fair, so back-to-back folds would starve them.
+        time.sleep(0)
+    engine.publish()
+    return months
 
 
 def _smoke(ns: argparse.Namespace) -> int:
-    # Engine construction allocates accumulators — kernel work, so it
-    # happens here, off the loop (RL018 polices the coroutine side).
-    engine = CorrelationEngine(ns.n_valid, cutoff=1 << 10)
-    stats = asyncio.run(_smoke_run(engine, ns))
-    leaked_segments = san_snapshot.verify_released()
+    stop = threading.Event()
+    results: list = []
+    with CorrelationEngine(ns.n_valid, cutoff=1 << 10) as engine:
+        readers = [
+            threading.Thread(
+                target=_reader,
+                args=(engine, stop, ns.n_valid, results),
+                name=f"serve-smoke-reader-{k}",
+            )
+            for k in range(ns.readers)
+        ]
+        for thread in readers:
+            thread.start()
+        try:
+            months = _write(engine, ns)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join()
+        for outcome in results:
+            if isinstance(outcome, Exception):
+                raise outcome
+        if ns.save:
+            engine.save(ns.save)
+        windows, epoch = engine.window_count, engine.epoch
+        leaked = engine.outstanding_leases()
+    san_mutate.verify_frozen()
     traps = san_runtime.take_traps()
     print(
-        f"serve smoke: {stats['windows']} windows, epoch {stats['epoch']}, "
-        f"{stats['months']} months, {stats['reads']} reads by "
+        f"serve smoke: {windows} windows, epoch {epoch}, "
+        f"{months} months, {sum(results)} reads by "
         f"{ns.readers} readers"
     )
     for trap in traps:
         print(trap.format())
-    if traps or stats["leaked"] or leaked_segments:
-        print(
-            f"FAIL: {len(traps)} trap(s), {stats['leaked']} leaked lease(s), "
-            f"{leaked_segments} unreleased snapshot(s)"
-        )
+    if traps or leaked:
+        print(f"FAIL: {len(traps)} trap(s), {leaked} leaked lease(s)")
         return 1
     print("clean: zero traps, all snapshot leases released")
     return 0
+
+
+def _count(minimum: int):
+    """argparse ``type=`` for an integer option that must be >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -144,11 +170,11 @@ def _parser() -> argparse.ArgumentParser:
     smoke = sub.add_parser(
         "smoke", help="fold a synthetic stream under concurrent readers"
     )
-    smoke.add_argument("--batches", type=int, default=64, help="packet batches to fold")
-    smoke.add_argument("--batch-size", type=int, default=512, help="packets per batch")
-    smoke.add_argument("--n-valid", type=int, default=2048, help="packets per window")
-    smoke.add_argument("--readers", type=int, default=8, help="concurrent readers")
-    smoke.add_argument("--sources", type=int, default=4096, help="address-pool size")
+    smoke.add_argument("--batches", type=_count(0), default=64, help="packet batches to fold")
+    smoke.add_argument("--batch-size", type=_count(1), default=512, help="packets per batch")
+    smoke.add_argument("--n-valid", type=_count(1), default=2048, help="packets per window")
+    smoke.add_argument("--readers", type=_count(1), default=8, help="concurrent readers")
+    smoke.add_argument("--sources", type=_count(1), default=4096, help="address-pool size")
     smoke.add_argument("--seed", type=int, default=42, help="stream seed")
     smoke.add_argument("--save", default=None, metavar="FILE", help="save the final snapshot")
     return p

@@ -12,14 +12,13 @@ Concurrency contract
 --------------------
 The engine itself is synchronous and internally locked; writers fold and
 publish, readers ``acquire()`` a snapshot lease and ``release()`` it when
-done.  Published snapshots are frozen (:func:`~repro.serve.snapshot.
-freeze_snapshot`) so arbitrarily many readers can share one without
-copies.  Three static rules gate the discipline — RL018 (no blocking
-kernel work on an event loop), RL019 (snapshots provably frozen at the
-publish boundary), RL020 (acquire/release balance, epoch monotonicity,
-no fold/query-after-close) — and the RS006 ``snapshot`` sanitizer
-re-proves it at runtime by fingerprinting snapshot buffers at publish
-and re-verifying them at every reader release.
+done.  Snapshots freeze themselves on construction
+(:func:`~repro.serve.snapshot.freeze_snapshot`), so arbitrarily many
+readers can share one without copies.  RL020 gates the lease discipline
+statically (acquire/release balance, epoch monotonicity, no
+fold/query-after-close); at runtime an over-release raises, and the
+``mutate`` sanitizer (RS002) fingerprints published snapshots like any
+other frozen object.
 """
 
 from __future__ import annotations
@@ -46,27 +45,13 @@ from ..obs.metrics import (
 from ..obs.spans import annotate, span
 from ..stream.analyzer import StreamingWindowAnalyzer
 from ..traffic.packet import Packets
-from .snapshot import (
-    EngineSnapshot,
-    freeze_snapshot,
-    load_snapshot,
-    save_snapshot,
-)
+from .snapshot import EngineSnapshot, load_snapshot, save_snapshot
 
 __all__ = ["CorrelationEngine"]
 
 #: Fewest folded months before a modified-Cauchy fit is attempted (the
 #: three-parameter profile is under-determined below this).
 _MIN_FIT_MONTHS = 3
-
-
-def _lifecycle_fault(message: str) -> None:
-    """Snapshot-lease lifecycle fault observation point.
-
-    Deliberately silent in production — a misbehaving reader must not
-    take the service down.  The ``snapshot`` sanitizer (RS006) rebinds
-    this to a trap recorder.
-    """
 
 
 class CorrelationEngine:
@@ -156,18 +141,12 @@ class CorrelationEngine:
     def close(self) -> None:
         """Release accumulator resources; idempotent.
 
-        Outstanding reader leases are reported through the lifecycle
-        fault hook — readers may still *release* after close, but no new
-        folds, publishes or acquires are accepted.
+        Closing with reader leases outstanding is allowed and
+        :meth:`outstanding_leases` keeps reporting them: readers may
+        still *release* after close, but no new folds, publishes or
+        acquires are accepted.
         """
         with self._lock:
-            if self._closed:
-                return
-            leaked = self.outstanding_leases()
-            if leaked:
-                _lifecycle_fault(
-                    f"{leaked} snapshot lease(s) outstanding at engine close"
-                )
             self._closed = True
 
     # -- folding (the single writer) ---------------------------------------
@@ -248,20 +227,18 @@ class CorrelationEngine:
             annotate(epoch=self._epoch)
             times, fracs = self._overlap_curve()
             self._month_times, self._month_fracs = times, fracs
-            snap = freeze_snapshot(
-                EngineSnapshot(
-                    epoch=self._epoch,
-                    n_valid=self.n_valid,
-                    window_index=np.asarray(self._win_index, dtype=np.int64),
-                    window_start=np.asarray(self._win_start, dtype=np.float64),
-                    window_end=np.asarray(self._win_end, dtype=np.float64),
-                    quantities=tuple(self._win_quantities),
-                    degree_distributions=tuple(self._win_dists),
-                    month_times=times,
-                    overlap_fractions=fracs,
-                    correlation=self._coeval_correlation(),
-                    fit=self._temporal_fit(times, fracs),
-                )
+            snap = EngineSnapshot(
+                epoch=self._epoch,
+                n_valid=self.n_valid,
+                window_index=np.asarray(self._win_index, dtype=np.int64),
+                window_start=np.asarray(self._win_start, dtype=np.float64),
+                window_end=np.asarray(self._win_end, dtype=np.float64),
+                quantities=tuple(self._win_quantities),
+                degree_distributions=tuple(self._win_dists),
+                month_times=times,
+                overlap_fractions=fracs,
+                correlation=self._coeval_correlation(),
+                fit=self._temporal_fit(times, fracs),
             )
             self._snapshot = snap
             inc(SNAPSHOTS_PUBLISHED)
@@ -273,8 +250,7 @@ class CorrelationEngine:
 
         Publishes epoch 1 lazily if nothing has been published yet.
         Every acquire must be matched by exactly one :meth:`release` —
-        RL020 proves that per-path for local leases, RS006 counts it at
-        runtime.
+        RL020 proves that per-path for local leases.
         """
         self._ensure_open()
         with self._lock:
@@ -284,14 +260,17 @@ class CorrelationEngine:
             return snap
 
     def release(self, snap: EngineSnapshot) -> None:
-        """Return a reader lease (valid even after :meth:`close`)."""
+        """Return a reader lease (valid even after :meth:`close`).
+
+        Releasing an epoch that holds no lease raises ``ValueError`` and
+        leaves the lease table unchanged.
+        """
         with self._lock:
             held = self._leases.get(snap.epoch, 0)
             if held <= 0:
-                _lifecycle_fault(
+                raise ValueError(
                     f"release of snapshot epoch {snap.epoch} that holds no lease"
                 )
-                return
             if held == 1:
                 del self._leases[snap.epoch]
             else:

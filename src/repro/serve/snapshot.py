@@ -4,15 +4,12 @@ A snapshot is the unit readers share: one frozen, self-contained view of
 everything the engine has derived so far — per-window Table II
 aggregates, per-window degree distributions, the coeval-correlation
 curve over folded honeyfarm months, and the modified-Cauchy fit of that
-curve.  Once :func:`freeze_snapshot` has run, every ndarray the snapshot
-reaches is marked read-only and the construction observers
-(:func:`repro.analysis.contracts.notify_construct`) have seen it, so the
-``snapshot`` sanitizer (RS006) can fingerprint the canonical buffers at
-publish and re-verify them when each reader lease is released.
-
-The static twin of that runtime check is RL019: any
-``EngineSnapshot(...)`` that crosses a return/store boundary without
-passing through :func:`freeze_snapshot` is a lint finding.
+curve.  A snapshot freezes itself: constructing an
+:class:`EngineSnapshot` runs :func:`freeze_snapshot`, which marks every
+ndarray the snapshot reaches read-only and notifies the construction
+observers (:func:`repro.analysis.contracts.notify_construct`), so no
+writable snapshot can exist and the ``mutate`` sanitizer (RS002) can
+fingerprint its canonical buffers like any other frozen object.
 """
 
 from __future__ import annotations
@@ -69,6 +66,9 @@ class EngineSnapshot:
     fit:
         Modified-Cauchy fit of the overlap curve, when it is fittable
         (Figs 5-8); ``None`` with fewer than three months.
+
+    Construction freezes the snapshot (:func:`freeze_snapshot`): every
+    canonical buffer is read-only from the moment the object exists.
     """
 
     epoch: int
@@ -82,6 +82,9 @@ class EngineSnapshot:
     overlap_fractions: np.ndarray
     correlation: Optional[PeakCorrelation]
     fit: Optional[FitResult]
+
+    def __post_init__(self) -> None:
+        freeze_snapshot(self)
 
     @property
     def window_count(self) -> int:
@@ -105,9 +108,9 @@ class EngineSnapshot:
 def snapshot_buffers(snap: EngineSnapshot) -> Iterator[np.ndarray]:
     """Yield every canonical ndarray reachable from ``snap``.
 
-    This is the buffer set RS006 fingerprints and
-    :func:`freeze_snapshot` marks read-only; keep the two in lockstep by
-    routing both through this function.
+    This is the buffer set :func:`freeze_snapshot` marks read-only and
+    the ``mutate`` sanitizer (RS002) fingerprints; keep the two in
+    lockstep by routing both through this function.
     """
     yield snap.window_index
     yield snap.window_start
@@ -121,13 +124,13 @@ def snapshot_buffers(snap: EngineSnapshot) -> Iterator[np.ndarray]:
 
 
 def freeze_snapshot(snap: EngineSnapshot) -> EngineSnapshot:
-    """Freeze ``snap`` for publication and notify construction observers.
+    """Freeze ``snap`` and notify construction observers.
 
-    Every canonical buffer is made read-only in place (writes after
-    publication raise), then the contracts construct hooks observe the
-    snapshot under kind ``"snapshot"`` so armed sanitizers can
-    fingerprint it.  Returns the same object, now provably immutable —
-    the discharge point RL019 looks for.
+    Every canonical buffer is made read-only in place (later writes
+    raise), then the contracts construct hooks observe the snapshot
+    under kind ``"snapshot"`` so armed sanitizers can fingerprint it.
+    :class:`EngineSnapshot` calls this on construction; returns the
+    same object.
     """
     for arr in snapshot_buffers(snap):
         arr.flags.writeable = False
@@ -266,20 +269,18 @@ def _read_archive(data) -> EngineSnapshot:
         if fit_meta is not None
         else None
     )
-    return freeze_snapshot(
-        EngineSnapshot(
-            epoch=int(header["epoch"]),
-            n_valid=int(header["n_valid"]),
-            window_index=data["window_index"],
-            window_start=data["window_start"],
-            window_end=data["window_end"],
-            quantities=quantities,
-            degree_distributions=dists,
-            month_times=data["month_times"],
-            overlap_fractions=data["overlap_fractions"],
-            correlation=correlation,
-            fit=fit,
-        )
+    return EngineSnapshot(
+        epoch=int(header["epoch"]),
+        n_valid=int(header["n_valid"]),
+        window_index=data["window_index"],
+        window_start=data["window_start"],
+        window_end=data["window_end"],
+        quantities=quantities,
+        degree_distributions=dists,
+        month_times=data["month_times"],
+        overlap_fractions=data["overlap_fractions"],
+        correlation=correlation,
+        fit=fit,
     )
 
 

@@ -1,1 +1,1 @@
-"""Fixture package mirroring ``repro.serve`` (RL018-RL020 cases)."""
+"""Fixture package mirroring ``repro.serve`` (RL020 cases)."""

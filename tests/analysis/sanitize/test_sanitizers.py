@@ -130,4 +130,4 @@ class TestAllTogether:
                 probe()
             mutate.verify_frozen()
         rules = set(traps_by_rule())
-        assert {"RS001", "RS003", "RS004"} <= rules
+        assert rules == {"RS001", "RS002", "RS003", "RS004"}

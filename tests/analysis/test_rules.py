@@ -416,89 +416,6 @@ class TestWriterLifecycle:
         assert result.findings == []
 
 
-class TestAsyncDiscipline:
-    def findings(self):
-        return run_rule(
-            "RL018", "repro/serve/bad_async.py", "repro/parallel/pool.py"
-        )
-
-    def test_pool_submission_flagged(self):
-        assert any(
-            "submits_on_loop" in f.message and "pool submission" in f.message
-            for f in self.findings()
-        )
-
-    def test_blocking_sleep_flagged(self):
-        assert any(
-            "sleeps_on_loop" in f.message and "asyncio.sleep" in f.message
-            for f in self.findings()
-        )
-
-    def test_blocking_io_flagged(self):
-        assert any(
-            "reads_on_loop" in f.message and "blocking IO 'open'" in f.message
-            for f in self.findings()
-        )
-
-    def test_kernel_verb_flagged(self):
-        assert any(
-            "kernel_on_loop" in f.message and "insert_matrix" in f.message
-            for f in self.findings()
-        )
-
-    def test_transitive_blocking_flagged(self):
-        # Calling a sync project helper that submits to the pool blocks
-        # the loop just the same; the flow graph carries the reach.
-        assert any(
-            "indirect" in f.message and "reaches blocking work" in f.message
-            for f in self.findings()
-        )
-
-    def test_exactly_the_five_hazards(self):
-        assert len(self.findings()) == 5
-
-    def test_shim_dispatch_silent(self):
-        assert run_rule("RL018", "repro/serve/async_ok.py") == []
-
-    def test_real_tree_clean(self):
-        result = lint_paths([SRC_REPRO], [rule_by_id("RL018")])
-        assert result.findings == []
-
-
-class TestSnapshotEscape:
-    def findings(self):
-        return run_rule("RL019", "repro/serve/bad_snapshot.py")
-
-    def test_raw_return_flagged(self):
-        assert any(
-            "returns_raw" in f.message and "returns an unfrozen" in f.message
-            for f in self.findings()
-        )
-
-    def test_raw_local_return_flagged(self):
-        assert any("returns_raw_local" in f.message for f in self.findings())
-
-    def test_raw_attribute_store_flagged(self):
-        assert any(
-            "stores_raw" in f.message and "stores an unfrozen" in f.message
-            for f in self.findings()
-        )
-
-    def test_raw_subscript_store_flagged(self):
-        assert any("stores_raw_subscript" in f.message for f in self.findings())
-
-    def test_exactly_the_four_escapes(self):
-        # frozen_is_fine in the same file must stay silent.
-        assert len(self.findings()) == 4
-
-    def test_frozen_builders_silent(self):
-        assert run_rule("RL019", "repro/serve/snapshot_ok.py") == []
-
-    def test_real_tree_clean(self):
-        result = lint_paths([SRC_REPRO], [rule_by_id("RL019")])
-        assert result.findings == []
-
-
 class TestEngineLifecycle:
     def findings(self):
         return run_rule("RL020", "repro/serve/bad_engine_lifecycle.py")

@@ -1,14 +1,16 @@
 """CorrelationEngine: lifecycle, queries, save/restore round-trips."""
 
 import re
+import threading
 
 import numpy as np
 import pytest
 
-from repro.serve import CorrelationEngine, load_snapshot
+from repro.serve import CorrelationEngine, EngineSnapshot, load_snapshot, snapshot_buffers
 from repro.serve import snapshot as snapshot_module
 from repro.serve.cli import synthetic_batch, synthetic_month
 from repro.serve.engine import _MIN_FIT_MONTHS
+from repro.stats.binning import BinnedDistribution
 from repro.traffic.packet import Packets
 
 
@@ -115,20 +117,30 @@ class TestLifecycle:
             engine.release(b)
             assert engine.outstanding_leases() == 0
 
-    def test_lease_faults_reach_the_hook(self, monkeypatch):
-        from repro.serve import engine as serve_engine
+    def test_over_release_raises_and_leaves_leases_unchanged(self):
+        with CorrelationEngine(64) as engine:
+            first = engine.acquire()
+            engine.publish()
+            second = engine.acquire()
+            engine.release(first)
+            with pytest.raises(ValueError, match="epoch 1 that holds no lease"):
+                engine.release(first)
+            assert engine._leases == {2: 1}
+            engine.release(second)
+            assert engine.outstanding_leases() == 0
 
-        faults = []
-        monkeypatch.setattr(serve_engine, "_lifecycle_fault", faults.append)
-        engine = CorrelationEngine(64)
-        snap = engine.acquire()
-        engine.release(snap)
-        engine.release(snap)  # no lease held any more
-        assert any("no lease" in f for f in faults)
-        leaked = engine.acquire()
-        engine.close()  # lease outstanding at close
-        assert any("outstanding at engine close" in f for f in faults)
-        assert leaked.epoch == 1
+    def test_snapshot_release_pairing(self):
+        # A lease taken on one thread is held until another releases it.
+        with CorrelationEngine(64, cutoff=1 << 8) as engine:
+            leased = []
+            taker = threading.Thread(target=lambda: leased.append(engine.acquire()))
+            taker.start()
+            taker.join()
+            held = engine.outstanding_leases()
+            giver = threading.Thread(target=engine.release, args=(leased[0],))
+            giver.start()
+            giver.join()
+            assert held == 1 and engine.outstanding_leases() == 0
 
     def test_release_allowed_after_close(self):
         engine = CorrelationEngine(64)
@@ -153,6 +165,21 @@ class TestQueries:
                 engine.release(snap)
         finally:
             engine.close()
+
+    def test_fold_and_query(self):
+        # The writer folds on its own thread; the query runs on the caller's.
+        engine = CorrelationEngine(128, cutoff=1 << 8)
+        closed = []
+        writer = threading.Thread(
+            target=lambda: closed.append(engine.fold_batch(synthetic_batch(3, 0, 300, 800)))
+        )
+        writer.start()
+        writer.join()
+        assert closed == [2]
+        assert engine.query_quantities().valid_packets == 128
+        engine.close()
+        assert engine.closed
+        assert engine.outstanding_leases() == 0
 
     def test_fit_appears_after_enough_months(self):
         engine = folded_engine(_MIN_FIT_MONTHS + 1)
@@ -228,6 +255,34 @@ class TestSaveRestore:
         loaded = load_snapshot(path)
         with pytest.raises(ValueError):
             loaded.window_start[0] = 0.0
+
+    def test_directly_built_snapshot_is_frozen(self):
+        dist = BinnedDistribution(
+            edges=np.array([1.0, 2.0]),
+            counts=np.array([3.0]),
+            prob=np.array([1.0]),
+            n_total=3,
+            d_max=1,
+        )
+        snap = EngineSnapshot(
+            epoch=1,
+            n_valid=4,
+            window_index=np.arange(1, dtype=np.int64),
+            window_start=np.zeros(1),
+            window_end=np.ones(1),
+            quantities=(),
+            degree_distributions=(dist,),
+            month_times=np.zeros(2),
+            overlap_fractions=np.full(2, 0.5),
+            correlation=None,
+            fit=None,
+        )
+        buffers = list(snapshot_buffers(snap))
+        assert len(buffers) == 8
+        for arr in buffers:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
 
 
 def snapshot_bytes(snap):

@@ -8,8 +8,8 @@ overlap curve and Fig 4 correlation must be the batch
 ``temporal_correlation`` / ``peak_correlation`` of the last window.  Streams
 are seeded through :mod:`repro.rand` so each Hypothesis case is
 reconstructible from its integers alone, and the whole property is
-re-run with debug invariants and the snapshot+mutate sanitizers armed
-(any trap fails the test).
+re-run with debug invariants and the mutate sanitizer armed, which
+fingerprints every published snapshot (any trap fails the test).
 """
 
 import numpy as np
@@ -109,7 +109,7 @@ class TestStreamingEqualsBatch:
     def test_identical_under_invariants_and_sanitizers(self):
         packets = seeded_stream(99, 600)
         with debug_invariants():
-            with sanitizers(["snapshot", "mutate"]):
+            with sanitizers(["mutate"]):
                 with CorrelationEngine(128, cutoff=1 << 8) as engine:
                     fold_in_batches(engine, packets, [250, 99, 251])
                     snap = engine.acquire()
