@@ -11,8 +11,7 @@ Three measurements over the shared benchmark-scale study:
 
 Each out-of-core run asserts its rows equal the in-memory sweep's — the
 bit-identity half of the paper-scale acceptance criterion — and records
-peak RSS plus the spill counters in ``extra_info``, so the history store
-(``repro bench record``) trends memory alongside wall time.
+peak RSS plus the spill counters in ``extra_info``.
 """
 
 import pytest

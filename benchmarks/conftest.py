@@ -8,61 +8,35 @@ inspected — and diffed against EXPERIMENTS.md — after a run.
 
 Every session additionally runs with metrics-only observability on
 (:func:`repro.obs.enable_metrics` — counters without span recording, so
-timings are not perturbed) and writes two artifacts at exit:
-
-* ``benchmarks/output/metrics.json`` — the process-wide
-  counter/gauge/histogram snapshot, per-benchmark wall durations, and
-  peak RSS (as before; CI uploads it as a run artifact);
-* ``benchmarks/output/BENCH_results.json`` — the schema-versioned
-  benchmark-regression record consumed by ``repro bench compare``:
-  per-benchmark wall medians/means over the pytest-benchmark rounds,
-  call-phase CPU time, a machine fingerprint, and the counter snapshot.
-  Written only when timed benchmarks actually ran (not under
-  ``--benchmark-disable``).  See ``docs/PERFORMANCE.md``.
+timings are not perturbed) and writes ``benchmarks/output/metrics.json``
+at exit: the process-wide counter/gauge/histogram snapshot,
+per-benchmark wall durations, and peak RSS (CI uploads it as a run
+artifact).  Speed is measured end to end by ``benchmarks/e2e/run.py``,
+not here; see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
-import json
 import resource
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.bench import BENCH_SCHEMA, machine_fingerprint
+from repro.bench import machine_fingerprint
 from repro.experiments import build_study, format_checks
-from repro.obs import enable_metrics, export_snapshot, snapshot, wall_timestamp
+from repro.obs import enable_metrics, export_snapshot, snapshot
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 METRICS_FILE = OUTPUT_DIR / "metrics.json"
-BENCH_FILE = OUTPUT_DIR / "BENCH_results.json"
 
 _durations: dict = {}
 _metrics: dict = {}
-_cpu_times: dict = {}
 
 
 def pytest_configure(config):
     """Record counters for the whole benchmark session."""
     enable_metrics(True)
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    """Measure each benchmark's call-phase CPU time (user + system).
-
-    ``resource.getrusage`` deltas bracket the whole call phase — warmup
-    and calibration rounds included — giving the CPU cost that pairs
-    with the wall medians in ``BENCH_results.json``.
-    """
-    before = resource.getrusage(resource.RUSAGE_SELF)
-    yield
-    after = resource.getrusage(resource.RUSAGE_SELF)
-    _cpu_times[item.nodeid] = round(
-        (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime), 6
-    )
 
 
 def pytest_runtest_logreport(report):
@@ -76,48 +50,6 @@ def pytest_runtest_logreport(report):
         _durations[report.nodeid] = round(report.duration, 6)
         _metrics.clear()
         _metrics.update(snapshot())
-
-
-def _write_bench_results(session, exitstatus) -> None:
-    """Persist the schema-versioned record for ``repro bench compare``.
-
-    Schema 2: alongside the medians, each benchmark carries its round
-    percentiles (p50/p90/p99 over the pytest-benchmark repeats) so the
-    history store can trend tail latency without keeping raw round data.
-    """
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None:
-        return
-    benchmarks = {}
-    for meta in bench_session.benchmarks:
-        stats = meta.stats
-        if meta.has_error or not getattr(stats, "data", None):
-            continue
-        rounds = np.asarray(stats.data, dtype=np.float64)
-        p50, p90, p99 = (float(p) for p in np.percentile(rounds, [50, 90, 99]))
-        benchmarks[meta.fullname] = {
-            "wall_median_s": stats.median,
-            "wall_mean_s": stats.mean,
-            "wall_min_s": stats.min,
-            "wall_stddev_s": stats.stddev if stats.rounds > 1 else 0.0,
-            "wall_p50_s": p50,
-            "wall_p90_s": p90,
-            "wall_p99_s": p99,
-            "rounds": stats.rounds,
-            "iterations": meta.iterations,
-            "cpu_s": _cpu_times.get(meta.fullname, None),
-        }
-    if not benchmarks:
-        return
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "written": wall_timestamp(),
-        "machine": machine_fingerprint(),
-        "exitstatus": int(exitstatus),
-        "benchmarks": dict(sorted(benchmarks.items())),
-        "counters": (_metrics or snapshot()).get("counters", {}),
-    }
-    BENCH_FILE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -136,7 +68,6 @@ def pytest_sessionfinish(session, exitstatus):
             **live,
         },
     )
-    _write_bench_results(session, exitstatus)
 
 
 @pytest.fixture(scope="session")

@@ -52,16 +52,19 @@ def probe_fork_mutation() -> None:
 
     Under fork the write happens in a copy and vanishes; the fork
     sanitizer's two-sided fingerprint catches it anyway, and the mutate
-    sanitizer's end-of-run :func:`~repro.analysis.sanitize.mutate.verify_frozen`
-    catches the serial-path write that really lands.
+    sanitizer's :func:`~repro.analysis.sanitize.mutate.verify_frozen`
+    catches the serial-path write that really lands, checked here while
+    the vectors are still alive.
     """
     from ...hypersparse.coo import SparseVec
     from ...parallel import pool
+    from .mutate import verify_frozen
 
     vecs = [
         SparseVec(np.array([1, 2, 3], dtype=np.uint64), np.ones(3)) for _ in range(4)
     ]
     pool.parallel_map(_mutating_worker, vecs, processes=1)
+    verify_frozen()
 
 
 def probe_nan_fit() -> None:
@@ -84,12 +87,14 @@ def probe_snapshot() -> None:
     The scribble models a reader (or a buggy writer) writing through a
     published buffer while holding its lease — the writeable flag is
     flipped back first, exactly the defeat the mutate sanitizer's
-    fingerprints exist to catch at :func:`~repro.analysis.sanitize.mutate.verify_frozen`.
-    Disarmed, the write is silent and the engine closes cleanly — the
-    probe leaks no lease either way.
+    fingerprints exist to catch at :func:`~repro.analysis.sanitize.mutate.verify_frozen`,
+    checked here while the snapshot is still alive.  Disarmed, the write
+    is silent and the engine closes cleanly — the probe leaks no lease
+    either way.
     """
     from ...serve.cli import synthetic_batch
     from ...serve.engine import CorrelationEngine
+    from .mutate import verify_frozen
 
     with CorrelationEngine(64, cutoff=1 << 8) as engine:
         engine.fold_batch(synthetic_batch(2024, 0, 128, 300))
@@ -97,6 +102,7 @@ def probe_snapshot() -> None:
         start = snap.window_start
         start.flags.writeable = True  # defeat the publish-time freeze
         start[0] += 1.0
+        verify_frozen()
         engine.release(snap)
 
 

@@ -17,15 +17,20 @@ and
   path re-enabled the flag and wrote anyway, recording an RS002 trap
   per drifted object if one did.
 
-Tracking is bounded (:data:`MAX_TRACKED` most recent constructions) so
-long runs cannot accumulate unbounded references.
+Tracking holds the buffers only weakly and is bounded
+(:data:`MAX_TRACKED` most recent constructions): an entry goes as soon
+as one of its buffers is freed, so the sanitizer never keeps a dead
+object's memory alive.  :func:`verify_frozen` therefore checks the
+objects that are still alive; a scribbled object that dies first goes
+unseen, while a plain in-place write still raises at the statement.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from typing import Any, Callable, Deque, List, Tuple
+import itertools
+import weakref
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -37,8 +42,10 @@ __all__ = ["arm", "verify_frozen", "tracked_count", "MAX_TRACKED"]
 #: Most recent constructions retained for end-of-run verification.
 MAX_TRACKED = 4096
 
-#: ``(description, buffers, digest)`` per tracked construction.
-_tracked: Deque[Tuple[str, Tuple[np.ndarray, ...], str]] = deque(maxlen=MAX_TRACKED)
+#: ``(description, weak buffer refs, digest)`` per live tracked
+#: construction, oldest first.
+_tracked: Dict[int, Tuple[str, Tuple["weakref.ref[np.ndarray]", ...], str]] = {}
+_serial = itertools.count()
 
 _BUFFER_ATTRS = {
     "matrix": ("_keys", "_rows", "_cols", "vals"),
@@ -81,18 +88,30 @@ def _on_construct(kind: str, obj: Any) -> None:
         return
     for arr in buffers:
         arr.flags.writeable = False
-    _tracked.append((f"{kind} {type(obj).__name__}", buffers, _digest(buffers)))
+    key = next(_serial)
+
+    def forget(_ref: "weakref.ref[np.ndarray]") -> None:
+        _tracked.pop(key, None)
+
+    refs = tuple(weakref.ref(arr, forget) for arr in buffers)
+    _tracked[key] = (f"{kind} {type(obj).__name__}", refs, _digest(buffers))
+    # Keys are serial, so this keeps the MAX_TRACKED most recent
+    # constructions with one atomic pop, whatever other threads insert.
+    _tracked.pop(key - MAX_TRACKED, None)
 
 
 def verify_frozen() -> int:
-    """Re-hash every tracked buffer set; record RS002 traps for drift.
+    """Re-hash every live tracked buffer set; record RS002 traps for drift.
 
     Returns the number of objects whose canonical buffers changed after
     construction.  The trap message names the object kind so the
     offending class is identifiable even long after the write happened.
     """
     drifted = 0
-    for desc, buffers, digest in _tracked:
+    for desc, refs, digest in tuple(_tracked.values()):
+        buffers = tuple(arr for arr in (ref() for ref in refs) if arr is not None)
+        if len(buffers) < len(refs):
+            continue  # freed since the entries were listed
         if _digest(buffers) != digest:
             drifted += 1
             record_trap(
@@ -104,7 +123,7 @@ def verify_frozen() -> int:
 
 
 def tracked_count() -> int:
-    """Number of constructions currently retained for verification."""
+    """Number of live constructions currently tracked for verification."""
     return len(_tracked)
 
 

@@ -1,53 +1,31 @@
-"""Perf intelligence: benchmark results, history, trends, and reports.
+"""Bench history over the end-to-end benchmark.
 
-What began as a single pairwise baseline check is a small subsystem:
+``benchmarks/e2e/run.py`` measures the paper's pipeline end to end and
+``run.py --compare`` gates a change against its parent with the bounds
+in ``BENCHMARK.json``.  This package keeps the trajectory of those runs:
 
-* :mod:`repro.bench.results` — the ``BENCH_results.json`` schema
-  (currently version 2), validation, and the machine fingerprint that
-  keys comparability.
+* :mod:`repro.bench.results` — validation of a ``run.py --out`` record,
+  and the machine fingerprint the e2e child stamps into it.
 * :mod:`repro.bench.history` — the append-only ``benchmarks/history/``
-  store: one JSON record per recorded run (git SHA + machine id +
-  joined :mod:`repro.obs` counter snapshot) plus a rebuildable index.
-* :mod:`repro.bench.trend` — percentile stats across rounds and runs,
-  change-point detection over the wall-time trajectory, and counter
-  attribution for each detected shift.
-* :mod:`repro.bench.report` — terminal, markdown, and self-contained
-  HTML renderings of the trends.
-* :mod:`repro.bench.compare` — the pairwise regression gate, now
-  history-aware: verdict rows carry trend context when a history
-  exists, and ``--json`` emits a stable machine-readable document.
+  store: one JSON record per run, keyed by git SHA and machine id.
+* :mod:`repro.bench.trend` — percentile stats, change-point detection
+  on each ``<workload>/<metric>`` series, and attribution of each step
+  to the per-layer ``self_s`` values that moved with it, and the
+  terminal trend view.
 
-The CLI surface is ``repro bench record | trend | report | compare``
-(see ``docs/PERFORMANCE.md``, "Perf intelligence").  The flat public
-API below is the package's compatibility contract — everything
-``repro.bench`` exported as a single module keeps importing from here.
+The CLI surface is ``repro bench record FILE | trend`` (see
+``docs/PERFORMANCE.md``, "Benchmarks").
 """
 
-from .compare import (
-    BenchComparison,
-    compare_results,
-    comparison_json,
-    format_comparison,
-    trend_notes,
-)
 from .history import (
     DEFAULT_HISTORY_DIR,
     HISTORY_SCHEMA,
     History,
     RunRecord,
     load_history,
-    rebuild_index,
     record_run,
 )
-from .report import format_trends, render_html_report, render_markdown_report
-from .results import (
-    BENCH_SCHEMA,
-    KNOWN_SCHEMAS,
-    load_metrics,
-    load_results,
-    machine_fingerprint,
-    machine_id,
-)
+from .results import RECORD_SCHEMA, load_record, machine_fingerprint, machine_id
 from .trend import (
     BenchmarkTrend,
     ChangePoint,
@@ -55,15 +33,14 @@ from .trend import (
     analyze_history,
     attribute_counters,
     detect_change_points,
+    format_trends,
     percentile_stats,
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "KNOWN_SCHEMAS",
-    "HISTORY_SCHEMA",
     "DEFAULT_HISTORY_DIR",
-    "BenchComparison",
+    "HISTORY_SCHEMA",
+    "RECORD_SCHEMA",
     "BenchmarkTrend",
     "ChangePoint",
     "CounterMove",
@@ -71,20 +48,12 @@ __all__ = [
     "RunRecord",
     "analyze_history",
     "attribute_counters",
-    "compare_results",
-    "comparison_json",
     "detect_change_points",
-    "format_comparison",
     "format_trends",
     "load_history",
-    "load_metrics",
-    "load_results",
+    "load_record",
     "machine_fingerprint",
     "machine_id",
     "percentile_stats",
-    "rebuild_index",
     "record_run",
-    "render_html_report",
-    "render_markdown_report",
-    "trend_notes",
 ]

@@ -1,24 +1,23 @@
 """Append-only benchmark history store (``benchmarks/history/``).
 
-Every recorded benchmark session becomes one immutable JSON file —
-``run-<seq>-<sha>-<machine>.json`` — joining the ``BENCH_results.json``
-wall statistics with the ``metrics.json`` counter snapshot, keyed by git
-SHA and machine fingerprint.  A small ``index.json`` carries the run
-catalogue (sequence number, SHA, machine id, benchmark count per run) so
-trend queries can order the trajectory without parsing every record;
-:func:`rebuild_index` regenerates it from the record files after manual
-pruning (compaction).
+Every recorded end-to-end run becomes one immutable JSON file,
+``run-<seq>-<sha>-<machine>.json``, keyed by the record's own git SHA
+and machine id.  It keeps each ``<workload>/<metric>`` median and, for a
+traced run, each workload's per-layer ledger values.  The directory is
+the catalogue: :func:`load_history` scans ``run-*.json`` and orders the
+runs by sequence number, so pruning a record by hand needs no other
+bookkeeping.
 
-Records are append-only by construction: ``repro bench record`` only
-ever writes the next sequence number.  Loading is forgiving — a corrupt
-or truncated record is skipped with a warning rather than poisoning the
-whole trajectory, because a history that survives a crashed CI run is
-worth more than a strict one.
+Records are written through a temp file, fsync and rename, so a crash
+mid-write leaves no partial record behind.  Loading is still forgiving:
+a corrupt or truncated record is skipped with a warning naming the file
+rather than poisoning the whole trajectory.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .results import BENCH_SCHEMA, machine_id
+from .results import machine_id
 
 __all__ = [
     "HISTORY_SCHEMA",
@@ -35,41 +34,33 @@ __all__ = [
     "History",
     "record_run",
     "load_history",
-    "rebuild_index",
 ]
 
-#: Bumped when the record/index layout changes incompatibly.
-HISTORY_SCHEMA = 1
+#: Bumped when the record layout changes (1 was the pytest-benchmark layout).
+HISTORY_SCHEMA = 2
 
 #: Where the CLI looks for a history unless told otherwise.
 DEFAULT_HISTORY_DIR = "benchmarks/history"
-
-_INDEX = "index.json"
 
 PathLike = Union[str, Path]
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One recorded benchmark session.
+    """One recorded end-to-end run.
 
-    ``benchmarks`` maps benchmark names to their wall statistics (the
-    ``BENCH_results.json`` entries); ``counters`` is the joined
-    :mod:`repro.obs` counter snapshot for the same session.
+    ``metrics`` maps ``<workload>/<metric>`` to the run's median;
+    ``layers`` maps a workload to its per-layer ledger values (traced
+    runs only; a layer the ledger reported as null is left out).
     """
 
     seq: int
     sha: str
     machine: str
     written: str
-    benchmarks: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    counters: Dict[str, float] = field(default_factory=dict)
+    metrics: Dict[str, float] = field(default_factory=dict)
+    layers: Dict[str, Dict[str, float]] = field(default_factory=dict)
     path: str = ""
-
-    def wall_median(self, name: str) -> float:
-        """Wall median for one benchmark (``nan`` when absent this run)."""
-        entry = self.benchmarks.get(name)
-        return float(entry["wall_median_s"]) if entry else float("nan")
 
 
 @dataclass
@@ -83,50 +74,28 @@ class History:
         """Number of loaded runs."""
         return len(self.runs)
 
-    def benchmarks(self) -> List[str]:
-        """Sorted union of benchmark names across all runs."""
+    def names(self) -> List[str]:
+        """Sorted union of ``<workload>/<metric>`` series across all runs."""
         names: set = set()
         for run in self.runs:
-            names.update(run.benchmarks)
+            names.update(run.metrics)
         return sorted(names)
 
     def series(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """(run sequence numbers, wall medians) for one benchmark.
+        """(run sequence numbers, medians) for one ``<workload>/<metric>``.
 
-        Only runs where the benchmark was measured contribute — the
-        trajectory never interpolates across gaps.
+        Only runs that measured the series contribute; the trajectory
+        never interpolates across gaps.
         """
-        seqs = [r.seq for r in self.runs if name in r.benchmarks]
-        vals = [r.wall_median(name) for r in self.runs if name in r.benchmarks]
+        runs = [r for r in self.runs if name in r.metrics]
         return (
-            np.asarray(seqs, dtype=np.int64),
-            np.asarray(vals, dtype=np.float64),
+            np.asarray([r.seq for r in runs], dtype=np.int64),
+            np.asarray([r.metrics[name] for r in runs], dtype=np.float64),
         )
-
-    def counter_series(self, counter: str) -> np.ndarray:
-        """Per-run totals of one counter (``nan`` where unrecorded)."""
-        return np.asarray(
-            [float(r.counters.get(counter, float("nan"))) for r in self.runs],
-            dtype=np.float64,
-        )
-
-    def counter_names(self) -> List[str]:
-        """Sorted union of counter names across all runs."""
-        names: set = set()
-        for run in self.runs:
-            names.update(run.counters)
-        return sorted(names)
 
 
 def _record_name(seq: int, sha: str, machine: str) -> str:
-    return f"run-{seq:06d}-{(sha or 'unknown')[:12]}-{machine[:12]}.json"
-
-
-def _read_json(path: Path) -> Dict[str, Any]:
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError("not a JSON object")
-    return data
+    return f"run-{seq:06d}-{sha[:12]}-{machine[:12]}.json"
 
 
 def _next_seq(directory: Path) -> int:
@@ -139,170 +108,83 @@ def _next_seq(directory: Path) -> int:
 
 
 def record_run(
-    history_dir: PathLike,
-    results: Dict[str, Any],
-    metrics: Optional[Dict[str, Any]] = None,
-    *,
-    sha: str = "unknown",
-    written: Optional[str] = None,
+    history_dir: PathLike, record: Dict[str, Any], *, written: Optional[str] = None
 ) -> Path:
-    """Append one run record joining results and metrics; return its path.
-
-    ``results`` is a loaded ``BENCH_results.json`` payload
-    (:func:`repro.bench.load_results`); ``metrics`` an optional loaded
-    ``metrics.json`` snapshot whose counters are joined into the record
-    (metrics-side totals win on conflict — the snapshot postdates the
-    results file).  The index is updated in the same call.
-    """
+    """Append one e2e record (see :func:`repro.bench.load_record`); return its path."""
     directory = Path(history_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    fingerprint = results.get("machine", {}) or {}
-    mid = machine_id(fingerprint)
-    counters = dict(results.get("counters", {}) or {})
-    if metrics:
-        counters.update(metrics.get("counters", {}) or {})
-        # Span-duration histograms join as derived series so change-point
-        # attribution can name them alongside the plain counters.
-        for name, h in (metrics.get("histograms", {}) or {}).items():
-            if isinstance(h, dict) and h.get("count"):
-                counters[f"hist.{name}.mean"] = float(h["mean"])
-                counters[f"hist.{name}.count"] = float(h["count"])
+    fingerprint = record.get("machine") or {}
+    workloads = record["workloads"]
     if written is None:
         from ..obs import wall_timestamp
 
-        written = results.get("written") or wall_timestamp()
-    seq = _next_seq(directory)
-    record = {
+        written = wall_timestamp()
+    entry = {
         "schema": HISTORY_SCHEMA,
-        "bench_schema": results.get("schema", BENCH_SCHEMA),
-        "seq": seq,
-        "sha": sha or "unknown",
-        "machine_id": mid,
+        "seq": _next_seq(directory),
+        "sha": record.get("git_sha") or "unknown",
+        "machine_id": machine_id(fingerprint),
         "machine": fingerprint,
         "written": written,
-        "benchmarks": dict(sorted(results.get("benchmarks", {}).items())),
-        "counters": dict(sorted(counters.items())),
+        "metrics": {
+            f"{name}/{metric}": float(m["value"])
+            for name, w in sorted(workloads.items())
+            for metric, m in sorted(w["metrics"].items())
+        },
+        "layers": {
+            name: {k: float(v) for k, v in sorted(w["layers"].items()) if v is not None}
+            for name, w in sorted(workloads.items())
+            if w.get("layers")
+        },
     }
-    if metrics and "max_rss_kb" in metrics:
-        record["max_rss_kb"] = metrics["max_rss_kb"]
-    path = directory / _record_name(seq, record["sha"], mid)
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    _update_index(directory, record, path.name)
+    path = directory / _record_name(entry["seq"], entry["sha"], entry["machine_id"])
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry, indent=2, sort_keys=True) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
-
-
-def _index_entry(record: Dict[str, Any], filename: str) -> Dict[str, Any]:
-    return {
-        "file": filename,
-        "seq": record["seq"],
-        "sha": record.get("sha", "unknown"),
-        "machine_id": record.get("machine_id", ""),
-        "written": record.get("written", ""),
-        "n_benchmarks": len(record.get("benchmarks", {})),
-    }
-
-
-def _update_index(directory: Path, record: Dict[str, Any], filename: str) -> None:
-    index_path = directory / _INDEX
-    entries: List[Dict[str, Any]] = []
-    if index_path.exists():
-        try:
-            entries = _read_json(index_path).get("runs", [])
-        except (ValueError, json.JSONDecodeError):
-            entries = []  # rebuilt below from the surviving entries + this run
-    entries = [e for e in entries if e.get("seq") != record["seq"]]
-    entries.append(_index_entry(record, filename))
-    entries.sort(key=lambda e: e.get("seq", 0))
-    index_path.write_text(
-        json.dumps({"schema": HISTORY_SCHEMA, "runs": entries},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def rebuild_index(history_dir: PathLike) -> int:
-    """Regenerate ``index.json`` from the record files; return run count.
-
-    The compaction path: after deleting or hand-pruning record files the
-    index is stale — this rescans the directory, drops entries whose
-    records are gone, and rewrites the catalogue in sequence order.
-    Corrupt records are skipped with a warning, mirroring
-    :func:`load_history`.
-    """
-    directory = Path(history_dir)
-    entries: List[Dict[str, Any]] = []
-    for path in sorted(directory.glob("run-*.json")):
-        try:
-            record = _read_json(path)
-            entries.append(_index_entry(record, path.name))
-        except (ValueError, json.JSONDecodeError) as exc:
-            warnings.warn(f"bench history: skipping corrupt record {path.name}: {exc}",
-                          stacklevel=2)
-    entries.sort(key=lambda e: e.get("seq", 0))
-    (directory / _INDEX).write_text(
-        json.dumps({"schema": HISTORY_SCHEMA, "runs": entries},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return len(entries)
 
 
 def load_history(history_dir: PathLike) -> History:
     """Load every readable run record in sequence order.
 
-    The index orders the scan when present and consistent; records
-    missing from the index (or an unreadable index) fall back to a
-    directory scan, so the store survives a lost ``index.json``.
-    Corrupt records are skipped with a warning — an interrupted CI
-    upload must not erase the rest of the trajectory.
+    Corrupt records, and records of another schema, are skipped with a
+    warning naming the file: an interrupted CI run must not erase the
+    rest of the trajectory.
     """
     directory = Path(history_dir)
-    if not directory.is_dir():
-        return History(runs=[], directory=str(directory))
-    names = {p.name for p in directory.glob("run-*.json")}
-    ordered: List[str] = []
-    index_path = directory / _INDEX
-    if index_path.exists():
-        try:
-            for entry in _read_json(index_path).get("runs", []):
-                if entry.get("file") in names:
-                    ordered.append(entry["file"])
-        except (ValueError, json.JSONDecodeError):
-            warnings.warn(
-                f"bench history: unreadable index in {directory}; scanning records",
-                stacklevel=2,
-            )
-            ordered = []
-    for name in sorted(names):
-        if name not in ordered:
-            ordered.append(name)
     runs: List[RunRecord] = []
-    for name in ordered:
-        path = directory / name
+    for path in sorted(directory.glob("run-*.json")):
         try:
-            record = _read_json(path)
-            if int(record.get("schema", 0)) > HISTORY_SCHEMA:
+            record = json.loads(path.read_text(encoding="utf-8"))
+            schema = record.get("schema")
+            if schema != HISTORY_SCHEMA:
                 raise ValueError(
-                    f"history schema {record['schema']} is newer than this "
-                    f"reader (max {HISTORY_SCHEMA})"
+                    f"history schema {schema!r}; this reader reads schema {HISTORY_SCHEMA}"
                 )
             runs.append(
                 RunRecord(
                     seq=int(record["seq"]),
-                    sha=str(record.get("sha", "unknown")),
-                    machine=str(record.get("machine_id", "")),
+                    sha=str(record["sha"]),
+                    machine=str(record["machine_id"]),
                     written=str(record.get("written", "")),
-                    benchmarks=record.get("benchmarks", {}) or {},
-                    counters={
-                        k: float(v)
-                        for k, v in (record.get("counters", {}) or {}).items()
+                    metrics={k: float(v) for k, v in record["metrics"].items()},
+                    layers={
+                        w: {k: float(v) for k, v in vals.items()}
+                        for w, vals in record["layers"].items()
                     },
                     path=str(path),
                 )
             )
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            warnings.warn(f"bench history: skipping corrupt record {name}: {exc}",
-                          stacklevel=2)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            warnings.warn(
+                f"bench history: skipping corrupt record {path.name}: {exc}", stacklevel=2
+            )
     runs.sort(key=lambda r: r.seq)
     return History(runs=runs, directory=str(directory))

@@ -1,25 +1,15 @@
-"""Benchmark result files: schema, validation, and machine identity.
+"""End-to-end benchmark records: loading, validation, and machine identity.
 
-The benchmark session (``benchmarks/conftest.py``) writes a
-schema-versioned ``BENCH_results.json`` next to its other artifacts:
-per-benchmark wall-time medians and round percentiles over the
-pytest-benchmark repeats, the call-phase CPU time, a machine
-fingerprint, and the :mod:`repro.obs` counter snapshot.  This module is
-the shared consumer side — loading and validating those files — used by
-both the pairwise comparison (:mod:`repro.bench.compare`) and the
-append-only history store (:mod:`repro.bench.history`).
+``benchmarks/e2e/run.py --out FILE`` writes one JSON record per run:
+the git SHA and machine fingerprint it ran under, and per workload the
+end-to-end metric medians, the per-layer ledger when the run was traced
+(``--trace``), and whether every repetition produced the same outputs
+(``correct``).  :func:`load_record` is the gate in front of the history
+store: only a well-formed record of a correct run enters the trajectory.
 
-Schema history:
-
-* **1** — wall medians/means/min/stddev per benchmark, machine
-  fingerprint, session counter totals.
-* **2** — adds per-benchmark round percentiles (``wall_p50_s`` /
-  ``wall_p90_s`` / ``wall_p99_s``) so percentile trends do not depend on
-  keeping raw round data, and declares the counter snapshot joined from
-  ``benchmarks/output/metrics.json`` part of the record.
-
-Readers accept every schema in :data:`KNOWN_SCHEMAS` (old baselines keep
-comparing) and reject anything newer with a clear upgrade message.
+:func:`machine_fingerprint` is called by the e2e child process itself,
+so every record carries the host facts its numbers are comparable
+within; :func:`machine_id` digests them into the history key.
 """
 
 from __future__ import annotations
@@ -31,36 +21,22 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Union
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "KNOWN_SCHEMAS",
-    "load_results",
-    "load_metrics",
-    "machine_fingerprint",
-    "machine_id",
-]
+__all__ = ["RECORD_SCHEMA", "load_record", "machine_fingerprint", "machine_id"]
 
-#: Schema version written by the harness (``benchmarks/conftest.py``).
-BENCH_SCHEMA = 2
-
-#: Every schema version this reader understands.
-KNOWN_SCHEMAS = (1, 2)
+#: The ``schema`` field ``benchmarks/e2e/run.py`` writes.
+RECORD_SCHEMA = 1
 
 PathLike = Union[str, Path]
 
 
-def load_results(path: PathLike) -> Dict[str, Any]:
-    """Load and validate a ``BENCH_results.json`` file.
+def load_record(path: PathLike) -> Dict[str, Any]:
+    """Load and validate one ``run.py --out`` record.
 
-    Accepts every schema version in :data:`KNOWN_SCHEMAS` — committed
-    baselines written by older harnesses stay comparable.  A schema
-    *newer* than :data:`BENCH_SCHEMA` is rejected with an explicit
-    upgrade message rather than a generic mismatch: the file is fine,
-    this reader is old.
-
-    Raises ``ValueError`` on schema mismatch or a malformed payload, and
-    ``OSError`` when the file cannot be read — callers map both onto a
-    usage-error exit status.
+    Raises ``OSError`` when the file cannot be read and ``ValueError``
+    (naming the file) when it is not JSON, is not an e2e record (a
+    legacy pytest-benchmark results file has no ``workloads``), has a
+    schema this reader does not know, lacks a metric value, or records a
+    workload whose outputs failed the correctness check.
     """
     raw = Path(path).read_text(encoding="utf-8")
     try:
@@ -69,41 +45,31 @@ def load_results(path: PathLike) -> Dict[str, Any]:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    schema = data.get("schema")
-    if schema not in KNOWN_SCHEMAS:
-        if isinstance(schema, int) and schema > BENCH_SCHEMA:
-            raise ValueError(
-                f"{path}: benchmark schema {schema} is newer than this reader "
-                f"understands (max {BENCH_SCHEMA}) — upgrade repro to read it"
-            )
+    workloads = data.get("workloads")
+    if not isinstance(workloads, dict) or not workloads:
         raise ValueError(
-            f"{path}: unsupported benchmark schema {schema!r} "
-            f"(known: {', '.join(map(str, KNOWN_SCHEMAS))})"
+            f"{path}: no 'workloads' mapping; not a benchmarks/e2e/run.py --out record"
         )
-    benches = data.get("benchmarks")
-    if not isinstance(benches, dict):
-        raise ValueError(f"{path}: missing 'benchmarks' mapping")
-    for name, entry in benches.items():
-        if not isinstance(entry, dict) or "wall_median_s" not in entry:
-            raise ValueError(f"{path}: benchmark {name!r} lacks 'wall_median_s'")
-    return data
-
-
-def load_metrics(path: PathLike) -> Dict[str, Any]:
-    """Load a ``metrics.json`` observability snapshot (best-effort shape).
-
-    The counter/gauge/histogram export written by
-    :func:`repro.obs.export_snapshot` (and the benchmark session).  Only
-    the envelope is validated — the caller joins whatever counters are
-    present into the run record.
-    """
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("counters", {}), dict):
-        raise ValueError(f"{path}: not a metrics snapshot")
+    schema = data.get("schema")
+    if schema != RECORD_SCHEMA:
+        if isinstance(schema, int) and schema > RECORD_SCHEMA:
+            raise ValueError(
+                f"{path}: record schema {schema} is newer than this reader "
+                f"understands (max {RECORD_SCHEMA}); upgrade repro to read it"
+            )
+        raise ValueError(f"{path}: unsupported record schema {schema!r} (known: 1)")
+    for name, entry in workloads.items():
+        metrics = entry.get("metrics") if isinstance(entry, dict) else None
+        if not isinstance(metrics, dict):
+            raise ValueError(f"{path}: workload {name!r} has no 'metrics' mapping")
+        for metric, m in metrics.items():
+            if not isinstance(m, dict) or not isinstance(m.get("value"), (int, float)):
+                raise ValueError(f"{path}: {name}/{metric} lacks a numeric 'value'")
+        if entry.get("correct") is not True:
+            raise ValueError(
+                f"{path}: workload {name!r} failed its correctness check "
+                "(correct: false); a failed run is not recorded"
+            )
     return data
 
 
@@ -125,8 +91,8 @@ def machine_fingerprint() -> Dict[str, Any]:
 def machine_id(fingerprint: Dict[str, Any]) -> str:
     """Stable 12-hex digest of a machine fingerprint.
 
-    History records are keyed by (git SHA, machine id) so trajectories
-    never mix runs from incomparable hosts.
+    History records are keyed by (git SHA, machine id) so a trajectory
+    can tell runs from different hosts apart.
     """
     canon = json.dumps(fingerprint or {}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]

@@ -1,35 +1,35 @@
 """Trajectory analysis over the benchmark history: percentiles, change
-points, and counter attribution.
+points, and per-layer attribution.
 
 Three layers, all pure numpy and fully deterministic:
 
-* :func:`percentile_stats` — p50/p90/p99 (and friends) of a wall-time
-  series, used both across pytest-benchmark rounds (at record time) and
-  across runs (at trend time).
-* :func:`detect_change_points` — offline step detection on a wall-time
-  trajectory by recursive binary segmentation of a piecewise-constant
-  mean model (the classic PELT/BinSeg cost: within-segment sum of
-  squared deviations, BIC-style penalty from a robust first-difference
-  noise estimate).  A split must both beat the penalty *and* move the
-  segment mean by ``min_rel_pct`` — so a flat series with float jitter
-  never alarms, while a slow drift that pairwise comparison cannot see
-  is surfaced as one or more steps.
-* :func:`attribute_counters` — for a detected shift, which
-  :mod:`repro.obs` counters (merge fastpath hits, invariant checks, …)
-  moved at the same run: the "why" line on a regression verdict.
+* :func:`percentile_stats` — p50/p90/p99 (and friends) of one
+  ``<workload>/<metric>`` series across recorded runs.
+* :func:`detect_change_points` — offline step detection on a trajectory
+  by recursive binary segmentation of a piecewise-constant mean model
+  (the classic PELT/BinSeg cost: within-segment sum of squared
+  deviations, BIC-style penalty from a robust first-difference noise
+  estimate).  A split must both beat the penalty *and* move the segment
+  mean by ``min_rel_pct`` — so a flat series with float jitter never
+  alarms, while a slow drift that a pairwise gate cannot see is
+  surfaced as one or more steps.
+* :func:`attribute_counters` — for a detected shift, which per-layer
+  ``self_s`` values of the same workload's ledger moved at the same
+  run: the layer that explains the step.
 
-:func:`analyze_history` joins the three into per-benchmark
-:class:`BenchmarkTrend` summaries for the report layer.
+:func:`analyze_history` joins the three into per-series
+:class:`BenchmarkTrend` summaries, and :func:`format_trends` renders
+them as the ``repro bench trend`` terminal view.
 """
 
 from __future__ import annotations
 
-import fnmatch
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
+from ..report.ascii_plot import render_sparkline
 from .history import History
 
 __all__ = [
@@ -40,12 +40,13 @@ __all__ = [
     "detect_change_points",
     "attribute_counters",
     "analyze_history",
+    "format_trends",
 ]
 
 
 @dataclass(frozen=True)
 class CounterMove:
-    """One counter's shift across a detected change point."""
+    """One layer value's shift across a detected change point."""
 
     name: str
     before: float
@@ -55,12 +56,12 @@ class CounterMove:
 
 @dataclass(frozen=True)
 class ChangePoint:
-    """A detected step in a benchmark's wall-time trajectory.
+    """A detected step in one series' trajectory.
 
     ``position`` indexes the trajectory array (first point of the new
     regime); ``index`` is the corresponding run sequence number — the
     "first seen at run N" in reports.  ``delta_pct`` compares the mean
-    after the step to the mean before it (positive = slower).
+    after the step to the mean before it (positive = larger).
     """
 
     position: int
@@ -73,7 +74,7 @@ class ChangePoint:
 
 @dataclass
 class BenchmarkTrend:
-    """One benchmark's trajectory summary: series, stats, change points."""
+    """One series' trajectory summary: values, stats, change points."""
 
     name: str
     seqs: np.ndarray
@@ -83,10 +84,10 @@ class BenchmarkTrend:
 
 
 def percentile_stats(values: Sequence[float]) -> Dict[str, float]:
-    """p50/p90/p99 plus mean/min/max/latest of a wall-time series.
+    """p50/p90/p99 plus mean/min/max/latest of a series.
 
-    Percentiles use linear interpolation (numpy default), matching what
-    pytest-benchmark reports for its own round statistics.
+    Percentiles use linear interpolation (numpy default); non-finite
+    values are dropped.
     """
     arr = np.asarray(values, dtype=np.float64)
     arr = arr[np.isfinite(arr)]
@@ -170,101 +171,118 @@ def detect_change_points(
 
 def attribute_counters(
     history: History,
+    workload: str,
     seq_after: int,
     seq_before: int,
     *,
     threshold_pct: float = 5.0,
     top: int = 5,
 ) -> List[CounterMove]:
-    """Counters that moved between two recorded runs, largest shift first.
+    """Per-layer ``self_s`` values of ``workload`` that moved between two runs.
 
     ``seq_after`` is the run where a change point first appears and
-    ``seq_before`` the preceding measured run.  Counters are per-session
-    totals, so the adjacent-run ratio is the per-run shift.  Only moves
-    beyond ``threshold_pct`` percent are reported, at most ``top`` of
-    them, ordered by shift magnitude (ties by name for determinism).
+    ``seq_before`` the preceding measured run; an untraced run has no
+    layers, so nothing is attributed to it.  Only moves beyond ``threshold_pct`` percent are reported,
+    at most ``top`` of them, largest move in seconds first (ties by name
+    for determinism).
     """
     by_seq = {r.seq: r for r in history.runs}
-    before_run = by_seq.get(seq_before)
-    after_run = by_seq.get(seq_after)
-    if before_run is None or after_run is None:
-        return []
+    before = by_seq[seq_before].layers.get(workload, {}) if seq_before in by_seq else {}
+    after = by_seq[seq_after].layers.get(workload, {}) if seq_after in by_seq else {}
     moves: List[CounterMove] = []
-    for name in sorted(set(before_run.counters) & set(after_run.counters)):
-        b = before_run.counters[name]
-        a = after_run.counters[name]
-        if b <= 0:
+    for name in sorted(set(before) & set(after)):
+        b, a = before[name], after[name]
+        if not name.endswith(".self_s") or b <= 0:
             continue
         delta = (a / b - 1.0) * 100.0
         if abs(delta) >= threshold_pct:
             moves.append(CounterMove(name, b, a, delta))
-    moves.sort(key=lambda m: (-abs(m.delta_pct), m.name))
+    moves.sort(key=lambda m: (-abs(m.after - m.before), m.name))
     return moves[:top]
 
 
-def analyze_history(
-    history: History,
-    pattern: Optional[str] = None,
-    *,
-    min_runs: int = 4,
-    min_segment: int = 2,
-    penalty_scale: float = 2.0,
-    min_rel_pct: float = 3.0,
-    counter_threshold_pct: float = 5.0,
-) -> List[BenchmarkTrend]:
-    """Per-benchmark trend summaries over a loaded history.
+def analyze_history(history: History, *, min_runs: int = 4) -> List[BenchmarkTrend]:
+    """Trend summaries of every ``<workload>/<metric>`` series in a history.
 
-    ``pattern`` is an ``fnmatch`` glob over benchmark names (``None``
-    keeps all); benchmarks with fewer than ``min_runs`` measured runs
-    are skipped — two points are a comparison, not a trajectory.  Each
-    detected change point comes annotated with the counters that moved
-    at the same run (:func:`attribute_counters`).
+    Series with fewer than ``min_runs`` measured runs are skipped, since
+    two points are a comparison, not a trajectory.  Each detected
+    change point names the workload's layers that moved at the same run
+    (:func:`attribute_counters`).
     """
     trends: List[BenchmarkTrend] = []
-    for name in history.benchmarks():
-        if pattern and not fnmatch.fnmatch(name, pattern):
-            continue
+    for name in history.names():
         seqs, values = history.series(name)
         if seqs.size < min_runs:
             continue
-        positions = detect_change_points(
-            values,
-            min_segment=min_segment,
-            penalty_scale=penalty_scale,
-            min_rel_pct=min_rel_pct,
-        )
         change_points: List[ChangePoint] = []
-        for pos in positions:
-            before_mean = float(values[:pos].mean())
-            after_mean = float(values[pos:].mean())
-            delta = (
-                (after_mean / before_mean - 1.0) * 100.0
-                if before_mean > 0
-                else float("nan")
-            )
-            counters = attribute_counters(
-                history,
-                int(seqs[pos]),
-                int(seqs[pos - 1]),
-                threshold_pct=counter_threshold_pct,
+        for pos in detect_change_points(values):
+            before, after = float(values[:pos].mean()), float(values[pos:].mean())
+            delta = (after / before - 1.0) * 100.0 if before > 0 else float("nan")
+            moves = attribute_counters(
+                history, name.split("/", 1)[0], int(seqs[pos]), int(seqs[pos - 1])
             )
             change_points.append(
-                ChangePoint(
-                    position=pos,
-                    index=int(seqs[pos]),
-                    before_mean=before_mean,
-                    after_mean=after_mean,
-                    delta_pct=delta,
-                    counters=counters,
-                )
+                ChangePoint(pos, int(seqs[pos]), before, after, delta, moves)
             )
         trends.append(
-            BenchmarkTrend(
-                name=name,
-                seqs=seqs,
-                values=values,
-                stats=percentile_stats(values),
-                change_points=change_points,
-            )
+            BenchmarkTrend(name, seqs, values, percentile_stats(values), change_points)
         )
     return trends
+
+
+def _fmt(v: float) -> str:
+    """A metric value in its own unit (``-`` for non-finite)."""
+    return f"{v:.6g}" if v == v and v not in (float("inf"), float("-inf")) else "-"
+
+
+def _layer_summary(cp: ChangePoint, limit: int = 3) -> str:
+    if not cp.counters:
+        return "(no layer moved)"
+    return ", ".join(f"{m.name} {m.delta_pct:+.1f}%" for m in cp.counters[:limit])
+
+
+def format_trends(
+    trends: List[BenchmarkTrend], history: History, *, width: int = 32
+) -> str:
+    """The ``repro bench trend`` terminal view.
+
+    A header (run count, history directory, sequence span, machine
+    count), one row per series — run count, across-run p50/p90/p99, the
+    latest value, and a sparkline with change points marked ``|`` — then
+    the change-point table.
+    """
+    machines = {r.machine for r in history.runs if r.machine}
+    span = f" (runs {history.runs[0].seq}..{history.runs[-1].seq})" if history.runs else ""
+    lines = [
+        f"benchmark trend: {len(history.runs)} run(s) in "
+        f"{history.directory or 'history'}{span}, {len(machines)} machine(s)",
+        "",
+    ]
+    if not trends:
+        lines.append("(no series has enough recorded runs to trend)")
+        return "\n".join(lines)
+    name_w = max(len(t.name) for t in trends)
+    lines.append(
+        f"{'series':<{name_w}}  {'runs':>4}  {'p50':>11}  {'p90':>11}  "
+        f"{'p99':>11}  {'latest':>11}  trend"
+    )
+    for t in trends:
+        spark = render_sparkline(
+            t.values, width=width, marks=[cp.position for cp in t.change_points]
+        )
+        lines.append(
+            f"{t.name:<{name_w}}  {t.stats['n']:>4d}  {_fmt(t.stats['p50']):>11}  "
+            f"{_fmt(t.stats['p90']):>11}  {_fmt(t.stats['p99']):>11}  "
+            f"{_fmt(t.stats['latest']):>11}  {spark}"
+        )
+    lines += ["", "change points:"]
+    cps = [(t, cp) for t in trends for cp in t.change_points]
+    for t, cp in cps:
+        lines.append(
+            f"  {t.name}: first seen at run {cp.index} "
+            f"({_fmt(cp.before_mean)} -> {_fmt(cp.after_mean)}, "
+            f"{cp.delta_pct:+.1f}%) — {_layer_summary(cp)}"
+        )
+    if not cps:
+        lines.append("  (none detected)")
+    return "\n".join(lines)

@@ -10,10 +10,8 @@
     repro fig5 --trace-out t.jsonl  # run traced, write JSON-lines trace
     repro trace summarize t.jsonl   # span table / flame view of a trace
     repro serve smoke               # streaming service under concurrent readers
-    repro bench compare OLD NEW     # gate on benchmark regressions
-    repro bench record              # append current results to the history
-    repro bench trend               # sparkline + change-point trend view
-    repro bench report --html OUT   # self-contained HTML trend report
+    repro bench record FILE         # append an e2e run record to the history
+    repro bench trend               # change points and the layers that moved
 
 Exit status is non-zero when any shape check fails, so the CLI doubles as
 a reproduction smoke test in CI.
@@ -195,184 +193,44 @@ def _trace_main(argv: List[str]) -> int:
     return 0
 
 
-def _git_sha() -> str:
-    """The current commit SHA, or ``"unknown"`` outside a git checkout."""
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
-
-
 def _bench_parser() -> argparse.ArgumentParser:
-    """Argument surface of the ``repro bench`` perf-intelligence CLI."""
+    """Argument surface of ``repro bench``: the end-to-end bench history."""
     from .bench import DEFAULT_HISTORY_DIR
 
     p = argparse.ArgumentParser(
         prog="repro bench",
-        description="Benchmark regression gating and trend intelligence.",
+        description="History and trends of the end-to-end benchmark "
+        "(benchmarks/e2e/run.py); 'run.py --compare' is the regression gate.",
+    )
+    history = argparse.ArgumentParser(add_help=False)
+    history.add_argument(
+        "--history",
+        default=DEFAULT_HISTORY_DIR,
+        metavar="DIR",
+        help=f"history directory (default {DEFAULT_HISTORY_DIR})",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
     s = sub.add_parser(
-        "compare",
-        help="compare two BENCH_results.json files; exit 1 on regression",
+        "record", parents=[history], help="append one run.py --out record to the history"
     )
-    s.add_argument("baseline", help="committed baseline BENCH_results.json")
-    s.add_argument("current", help="freshly measured BENCH_results.json")
-    s.add_argument(
-        "--tolerance",
-        type=float,
-        default=10.0,
-        metavar="PCT",
-        help="allowed wall-median slowdown in percent (default 10)",
-    )
-    s.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable comparison document instead of the table",
-    )
-    s.add_argument(
-        "--history",
-        default=DEFAULT_HISTORY_DIR,
-        metavar="DIR",
-        help="benchmark history consulted for trend context on verdict rows "
-        f"(default {DEFAULT_HISTORY_DIR}; silently skipped when absent)",
-    )
-
-    s = sub.add_parser(
-        "record",
-        help="append the current results + metrics snapshot to the history store",
-    )
-    s.add_argument(
-        "--results",
-        default="benchmarks/output/BENCH_results.json",
-        metavar="FILE",
-        help="BENCH_results.json to record (default benchmarks/output/...)",
-    )
-    s.add_argument(
-        "--metrics",
-        default="benchmarks/output/metrics.json",
-        metavar="FILE",
-        help="metrics.json counter snapshot joined into the record "
-        "(default benchmarks/output/metrics.json; skipped when absent)",
-    )
-    s.add_argument(
-        "--history",
-        default=DEFAULT_HISTORY_DIR,
-        metavar="DIR",
-        help=f"history directory (default {DEFAULT_HISTORY_DIR})",
-    )
-    s.add_argument(
-        "--sha",
-        default=None,
-        help="git SHA keying the record (default: the current HEAD)",
-    )
-
-    s = sub.add_parser(
+    s.add_argument("file", metavar="FILE", help="record written by benchmarks/e2e/run.py --out")
+    sub.add_parser(
         "trend",
-        help="sparkline + change-point view of the recorded trajectory",
-    )
-    s.add_argument(
-        "--benchmark",
-        default=None,
-        metavar="GLOB",
-        help="only benchmarks matching this fnmatch glob",
-    )
-    s.add_argument(
-        "--history",
-        default=DEFAULT_HISTORY_DIR,
-        metavar="DIR",
-        help=f"history directory (default {DEFAULT_HISTORY_DIR})",
-    )
-    s.add_argument(
-        "--min-runs",
-        type=int,
-        default=4,
-        metavar="N",
-        help="minimum recorded runs before a benchmark trends (default 4)",
-    )
-
-    s = sub.add_parser(
-        "report",
-        help="render the trend report (self-contained HTML and/or markdown)",
-    )
-    s.add_argument("--html", default=None, metavar="FILE", help="write HTML here")
-    s.add_argument(
-        "--markdown", default=None, metavar="FILE", help="write markdown here"
-    )
-    s.add_argument(
-        "--benchmark",
-        default=None,
-        metavar="GLOB",
-        help="only benchmarks matching this fnmatch glob",
-    )
-    s.add_argument(
-        "--history",
-        default=DEFAULT_HISTORY_DIR,
-        metavar="DIR",
-        help=f"history directory (default {DEFAULT_HISTORY_DIR})",
-    )
-    s.add_argument(
-        "--min-runs",
-        type=int,
-        default=4,
-        metavar="N",
-        help="minimum recorded runs before a benchmark is reported (default 4)",
+        parents=[history],
+        help="change points per <workload>/<metric>, with the layers that moved",
     )
     return p
 
 
-def _bench_compare(args) -> int:
-    import json as _json
-
-    from .bench import (
-        compare_results,
-        comparison_json,
-        format_comparison,
-        load_history,
-        load_results,
-        trend_notes,
-    )
-
-    baseline = load_results(args.baseline)
-    current = load_results(args.current)
-    rows = compare_results(baseline, current, tolerance_pct=args.tolerance)
-    history = load_history(args.history)
-    notes = trend_notes(history, rows) if len(history) else {}
-    if args.json:
-        doc = comparison_json(rows, args.tolerance, notes or None)
-        print(_json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(format_comparison(rows, tolerance_pct=args.tolerance,
-                                notes=notes or None))
-    return 1 if any(r.regressed for r in rows) else 0
-
-
 def _bench_record(args) -> int:
-    from pathlib import Path
+    from .bench import load_history, load_record, record_run
 
-    from .bench import load_history, load_metrics, load_results, record_run
-
-    results = load_results(args.results)
-    metrics = None
-    if args.metrics and Path(args.metrics).exists():
-        metrics = load_metrics(args.metrics)
-    sha = args.sha if args.sha else _git_sha()
-    path = record_run(args.history, results, metrics, sha=sha)
-    n_runs = len(load_history(args.history))
+    record = load_record(args.file)
+    path = record_run(args.history, record)
+    sha = record.get("git_sha") or "unknown"
     print(
-        f"recorded run {n_runs} -> {path} "
-        f"({len(results.get('benchmarks', {}))} benchmark(s), sha {sha[:12]})"
+        f"recorded run {len(load_history(args.history))} -> {path} "
+        f"({len(record['workloads'])} workload(s), sha {sha[:12]})"
     )
     return 0
 
@@ -381,51 +239,16 @@ def _bench_trend(args) -> int:
     from .bench import analyze_history, format_trends, load_history
 
     history = load_history(args.history)
-    trends = analyze_history(history, args.benchmark, min_runs=args.min_runs)
-    print(format_trends(trends, history))
-    return 0
-
-
-def _bench_report(args) -> int:
-    from pathlib import Path
-
-    from .bench import (
-        analyze_history,
-        load_history,
-        render_html_report,
-        render_markdown_report,
-    )
-
-    if not args.html and not args.markdown:
-        print("repro bench report: need --html FILE and/or --markdown FILE",
-              file=sys.stderr)
-        return 2
-    history = load_history(args.history)
-    trends = analyze_history(history, args.benchmark, min_runs=args.min_runs)
-    if args.html:
-        Path(args.html).write_text(
-            render_html_report(trends, history), encoding="utf-8"
-        )
-        print(f"html report: {len(trends)} benchmark(s) -> {args.html}")
-    if args.markdown:
-        Path(args.markdown).write_text(
-            render_markdown_report(trends, history), encoding="utf-8"
-        )
-        print(f"markdown report: {len(trends)} benchmark(s) -> {args.markdown}")
+    print(format_trends(analyze_history(history), history))
     return 0
 
 
 def _bench_main(argv: List[str]) -> int:
-    """The ``repro bench`` subcommand (regression gating + perf trends)."""
+    """The ``repro bench`` subcommand (end-to-end bench history and trends)."""
     args = _bench_parser().parse_args(argv)
-    handlers = {
-        "compare": _bench_compare,
-        "record": _bench_record,
-        "trend": _bench_trend,
-        "report": _bench_report,
-    }
+    handler = _bench_record if args.command == "record" else _bench_trend
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except (OSError, ValueError) as exc:
         print(f"repro bench: {exc}", file=sys.stderr)
         return 2

@@ -295,8 +295,9 @@ def export_snapshot(path, *, extra=None) -> Dict[str, Any]:
 
     The canonical ``metrics.json`` envelope — schema version, ISO
     timestamp, and the :func:`snapshot` counters/gauges/histograms —
-    consumed by dashboards, CI artifacts, and the benchmark history
-    store (:mod:`repro.bench.history`).  ``extra`` entries are merged
+    consumed by dashboards and CI artifacts.  The benchmark history
+    (:mod:`repro.bench.history`) does not read it: it stores the
+    per-layer ledger of a traced e2e run instead.  ``extra`` entries are merged
     last (session durations, RSS, exit status ...), so a caller holding
     an earlier snapshot may also substitute its own metric maps — the
     benchmark session does, because test-isolation fixtures can reset

@@ -1,32 +1,16 @@
-"""Trend renderings: terminal, markdown, self-contained HTML, sparklines."""
+"""The ``repro bench trend`` terminal view and its sparklines."""
 
-from repro.bench import (
-    analyze_history,
-    format_trends,
-    load_history,
-    record_run,
-    render_html_report,
-    render_markdown_report,
-)
+from repro.bench import analyze_history, format_trends, load_history, record_run
 from repro.report import render_sparkline
+
+from .records import OBSERVE, stepped
 
 
 def stepped_history(tmp_path):
+    """Ten runs; ``report/wall_s`` and the observe_month layer step at run 7."""
     hist = tmp_path / "history"
     for i in range(10):
-        record_run(
-            hist,
-            {
-                "schema": 2,
-                "machine": {"cpu_count": 4},
-                "benchmarks": {
-                    "bench_x::test_a": {"wall_median_s": 0.1 if i < 6 else 0.15}
-                },
-                "counters": {"merge_fastpath_hits": 1000.0 if i < 6 else 630.0},
-            },
-            sha=f"sha{i}",
-            written=f"2026-01-{i + 1:02d}",
-        )
+        record_run(hist, stepped(i, 6), written=f"2026-01-{i + 1:02d}")
     return load_history(hist)
 
 
@@ -55,48 +39,46 @@ class TestFormatTrends:
         h = stepped_history(tmp_path)
         text = format_trends(analyze_history(h), h)
         assert "10 run(s)" in text
-        assert "bench_x::test_a" in text
-        assert "first seen at run 7" in text
-        assert "merge_fastpath_hits -37.0%" in text
+        assert "report/wall_s" in text and "window-ooc/wall_s" in text
+        assert "report/wall_s: first seen at run 7" in text
+        assert f"{OBSERVE} +1428.6%" in text
         assert "|" in text  # change-point mark inside the sparkline
 
     def test_empty_history_renders_placeholder(self, tmp_path):
         h = load_history(tmp_path / "none")
         text = format_trends([], h)
-        assert "no benchmark has enough recorded runs" in text
+        assert "no series has enough recorded runs" in text
 
 
 class TestMarkdownReport:
     def test_contains_table_and_change_points(self, tmp_path):
+        # The trend view is the one report: a table row per series, then
+        # the change-point section.
         h = stepped_history(tmp_path)
-        md = render_markdown_report(analyze_history(h), h)
-        assert md.startswith("# ")
-        assert "| `bench_x::test_a` |" in md
-        assert "first seen at run **7**" in md
-        assert "merge_fastpath_hits -37.0%" in md
+        lines = format_trends(analyze_history(h), h).splitlines()
+        assert lines[2].split() == ["series", "runs", "p50", "p90", "p99", "latest", "trend"]
+        rows = [line.split()[0] for line in lines[3:] if line and not line.startswith(" ")]
+        assert rows[:3] == ["report/peak_rss_mb", "report/wall_s", "window-ooc/wall_s"]
+        assert "change points:" in lines
+        cps = lines[lines.index("change points:") + 1:]
+        assert len(cps) == 1 and cps[0].startswith("  report/wall_s: first seen at run 7")
 
 
 class TestHtmlReport:
     def test_self_contained_document(self, tmp_path):
+        # Everything needed to answer "when did this get slow, and why"
+        # is in the text: history, run span, machines, series, layers.
         h = stepped_history(tmp_path)
-        html = render_html_report(analyze_history(h), h)
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<style>" in html and "<svg" in html
-        # self-contained: no external fetches of any kind
-        assert "http://" not in html and "https://" not in html
-        assert "src=" not in html and "@import" not in html
-        assert "bench_x::test_a" in html
-        assert "merge_fastpath_hits" in html
-        # run catalogue keyed by sha
-        assert "sha3" in html
-
-    def test_change_point_marked_in_svg(self, tmp_path):
-        h = stepped_history(tmp_path)
-        html = render_html_report(analyze_history(h), h)
-        assert 'class="cp"' in html
+        text = format_trends(analyze_history(h), h)
+        assert text.splitlines()[0] == (
+            f"benchmark trend: 10 run(s) in {h.directory} (runs 1..10), 1 machine(s)"
+        )
+        assert "(2.4 -> 3.4, +41.7%)" in text
+        assert OBSERVE in text
+        assert "http" not in text
 
     def test_empty_history_document(self, tmp_path):
         h = load_history(tmp_path / "none")
-        html = render_html_report([], h)
-        assert "No benchmark has enough recorded runs" in html
-        assert "None detected" in html
+        text = format_trends(analyze_history(h), h)
+        assert "0 run(s)" in text
+        assert "no series has enough recorded runs" in text

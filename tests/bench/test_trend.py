@@ -1,4 +1,4 @@
-"""Change-point detector, percentile stats, and counter attribution."""
+"""Change-point detector, percentile stats, and per-layer attribution."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,8 @@ from repro.bench import (
     record_run,
 )
 from repro.rand import hash_uniform
+
+from .records import OBSERVE, TEMPORAL, e2e_record
 
 
 def noise(seed, n, scale):
@@ -76,18 +78,13 @@ class TestPercentileStats:
         assert stats["n"] == 2 and stats["p50"] == pytest.approx(2.0)
 
 
-def make_history(tmp_path, medians, counters_per_run):
+def make_history(tmp_path, medians, layers_per_run):
+    """One ``report`` run per median; its ledger values from ``layers_per_run``."""
     hist = tmp_path / "history"
-    for i, (m, counters) in enumerate(zip(medians, counters_per_run)):
+    for i, (m, layers) in enumerate(zip(medians, layers_per_run)):
         record_run(
             hist,
-            {
-                "schema": 2,
-                "machine": {"cpu_count": 4},
-                "benchmarks": {"bench_x::test_a": {"wall_median_s": m}},
-                "counters": counters,
-            },
-            sha=f"sha{i}",
+            e2e_record({"report": {"wall_s": m}}, layers={"report": layers}, sha=f"sha{i}"),
         )
     return load_history(hist)
 
@@ -96,51 +93,61 @@ class TestAttributeCounters:
     def test_moved_counter_named_and_sorted(self, tmp_path):
         h = make_history(
             tmp_path,
-            [0.1, 0.1],
+            [2.4, 2.4],
             [
-                {"merge_fastpath_hits": 1000.0, "small_move": 100.0, "flat": 5.0},
-                {"merge_fastpath_hits": 600.0, "small_move": 110.0, "flat": 5.0},
+                {OBSERVE: 1.0, TEMPORAL: 0.10, "fits.fit_temporal.self_s": 5.0,
+                 "synth.HoneyfarmSimulator.observe_month.calls": 15.0},
+                {OBSERVE: 0.6, TEMPORAL: 0.11, "fits.fit_temporal.self_s": 5.0,
+                 "synth.HoneyfarmSimulator.observe_month.calls": 30.0},
             ],
         )
-        moves = attribute_counters(h, 2, 1)
-        assert [m.name for m in moves] == ["merge_fastpath_hits", "small_move"]
+        moves = attribute_counters(h, "report", 2, 1)
+        # Only self_s values are attributed, the largest move in seconds first.
+        assert [m.name for m in moves] == [OBSERVE, TEMPORAL]
         assert moves[0].delta_pct == pytest.approx(-40.0)
+        assert attribute_counters(h, "window-ooc", 2, 1) == []
 
     def test_threshold_filters_small_moves(self, tmp_path):
         h = make_history(
             tmp_path,
-            [0.1, 0.1],
-            [{"c": 100.0}, {"c": 102.0}],
+            [2.4, 2.4],
+            [{OBSERVE: 1.00}, {OBSERVE: 1.02}],
         )
-        assert attribute_counters(h, 2, 1, threshold_pct=5.0) == []
+        assert attribute_counters(h, "report", 2, 1, threshold_pct=5.0) == []
 
     def test_unknown_runs_return_empty(self, tmp_path):
-        h = make_history(tmp_path, [0.1], [{"c": 1.0}])
-        assert attribute_counters(h, 9, 8) == []
+        h = make_history(tmp_path, [2.4], [{OBSERVE: 1.0}])
+        assert attribute_counters(h, "report", 9, 8) == []
 
 
 class TestAnalyzeHistory:
     def test_step_change_with_counter_attribution(self, tmp_path):
-        medians = [0.1] * 6 + [0.15] * 4
-        counters = [{"merge_fastpath_hits": 1000.0}] * 6 + [
-            {"merge_fastpath_hits": 630.0}
-        ] * 4
-        h = make_history(tmp_path, medians, counters)
+        medians = [2.0] * 6 + [3.0] * 4
+        layers = [{OBSERVE: 1.0, TEMPORAL: 0.15}] * 6 + [{OBSERVE: 2.0, TEMPORAL: 0.15}] * 4
+        h = make_history(tmp_path, medians, layers)
         trends = analyze_history(h)
-        assert len(trends) == 1
+        assert [t.name for t in trends] == ["report/wall_s"]
         t = trends[0]
         assert len(t.change_points) == 1
         cp = t.change_points[0]
         assert cp.index == 7  # run sequence numbers start at 1
         assert cp.delta_pct == pytest.approx(50.0)
-        assert cp.counters and cp.counters[0].name == "merge_fastpath_hits"
-        assert cp.counters[0].delta_pct == pytest.approx(-37.0)
+        assert [m.name for m in cp.counters] == [OBSERVE]
+        assert cp.counters[0].delta_pct == pytest.approx(100.0)
 
     def test_min_runs_skips_short_trajectories(self, tmp_path):
-        h = make_history(tmp_path, [0.1, 0.1], [{}, {}])
+        h = make_history(tmp_path, [2.4, 2.4], [{}, {}])
         assert analyze_history(h, min_runs=4) == []
 
     def test_pattern_filters_benchmarks(self, tmp_path):
-        h = make_history(tmp_path, [0.1] * 5, [{}] * 5)
-        assert analyze_history(h, "bench_x*") != []
-        assert analyze_history(h, "bench_y*") == []
+        # One trend per <workload>/<metric> series; a series measured in
+        # too few runs is filtered out on its own.
+        hist = tmp_path / "history"
+        for i in range(5):
+            metrics = {"report": {"wall_s": 2.4, "peak_rss_mb": 221.0}}
+            if i >= 3:
+                metrics["window-ooc"] = {"wall_s": 5.0}
+            record_run(hist, e2e_record(metrics, sha=f"sha{i}"))
+        trends = analyze_history(load_history(hist))
+        assert [t.name for t in trends] == ["report/peak_rss_mb", "report/wall_s"]
+        assert all(t.change_points == [] for t in trends)
