@@ -70,6 +70,10 @@ __all__ = [
     "SNAPSHOTS_PUBLISHED",
     "SNAPSHOT_READERS",
     "SNAPSHOT_EPOCH",
+    "SNAPSHOT_LEASES",
+    "SERVE_EPOCH_LAG",
+    "SERVE_FOLD_SECONDS",
+    "SERVE_PUBLISH_SECONDS",
 ]
 
 _ENV_FLAG = "REPRO_METRICS"
@@ -119,6 +123,14 @@ SNAPSHOTS_PUBLISHED = "snapshots_published"
 SNAPSHOT_READERS = "snapshot_readers"
 #: Gauge: epoch of the most recently published snapshot.
 SNAPSHOT_EPOCH = "snapshot_epoch"
+#: Gauge: reader leases acquired but not yet released.
+SNAPSHOT_LEASES = "snapshot_leases"
+#: Gauge: windows closed minus windows in the published snapshot.
+SERVE_EPOCH_LAG = "serve_epoch_lag"
+#: Histogram: wall seconds of each ``fold_batch``.
+SERVE_FOLD_SECONDS = "serve_fold_seconds"
+#: Histogram: wall seconds of each ``publish`` (derive, freeze, swap).
+SERVE_PUBLISH_SECONDS = "serve_publish_seconds"
 
 
 class Counter:

@@ -11,21 +11,35 @@ hammers the published snapshots with ``--readers`` reader threads while
 the writer keeps publishing.  With ``REPRO_SAN=mutate`` armed this is
 the RS002 end-to-end check: every published snapshot is fingerprinted
 at construction and re-hashed by ``verify_frozen`` at the end of the
-run.  Counts must be at least 1 (``--batches`` at least 0).  Exit
-status: 0 clean, 1 sanitizer traps or leaked leases, 2 usage error.
+run.  The run records :mod:`repro.obs` metrics into a freshly reset
+registry and prints them as one ``health:`` line on stderr; stdout
+carries the summary and verdict lines.  Counts must be at least 1
+(``--batches`` at least 0).  Exit status: 0 clean, 1 sanitizer traps or
+leaked leases, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import threading
-import time
 from typing import List, Optional
 
 import numpy as np
 
 from ..analysis.sanitize import mutate as san_mutate
 from ..analysis.sanitize import runtime as san_runtime
+from ..obs.metrics import (
+    SERVE_EPOCH_LAG,
+    SERVE_FOLD_SECONDS,
+    SERVE_PUBLISH_SECONDS,
+    SNAPSHOT_LEASES,
+    enable_metrics,
+    gauge,
+    histogram,
+    metrics_enabled,
+    reset_metrics,
+)
 from ..rand import hash_u64
 from ..traffic.packet import Packets
 from .engine import CorrelationEngine
@@ -96,14 +110,36 @@ def _write(engine: CorrelationEngine, ns: argparse.Namespace) -> int:
             months += 1
         if closed:
             engine.publish()
-        # Hand the interpreter to the readers between batches: a Python
-        # lock is not fair, so back-to-back folds would starve them.
-        time.sleep(0)
     engine.publish()
     return months
 
 
+def _health_line() -> str:
+    """One line of service health from the run's ``repro.obs`` metrics."""
+
+    def timing(name: str) -> str:
+        h = histogram(name).summary()
+        return f"{h['count']} x mean {h['mean'] * 1e3:.2f} ms, max {h['max'] * 1e3:.2f} ms"
+
+    return (
+        f"health: fold {timing(SERVE_FOLD_SECONDS)}; "
+        f"publish {timing(SERVE_PUBLISH_SECONDS)}; "
+        f"leases {gauge(SNAPSHOT_LEASES).value:.0f}; "
+        f"epoch lag {gauge(SERVE_EPOCH_LAG).value:.0f}"
+    )
+
+
 def _smoke(ns: argparse.Namespace) -> int:
+    was_recording = metrics_enabled()
+    enable_metrics(True)
+    reset_metrics()
+    try:
+        return _smoke_run(ns)
+    finally:
+        enable_metrics(was_recording)
+
+
+def _smoke_run(ns: argparse.Namespace) -> int:
     stop = threading.Event()
     results: list = []
     with CorrelationEngine(ns.n_valid, cutoff=1 << 10) as engine:
@@ -137,6 +173,7 @@ def _smoke(ns: argparse.Namespace) -> int:
         f"{months} months, {sum(results)} reads by "
         f"{ns.readers} readers"
     )
+    print(_health_line(), file=sys.stderr)
     for trap in traps:
         print(trap.format())
     if traps or leaked:

@@ -10,9 +10,28 @@ queryable state behind epoch-numbered immutable snapshots.
 
 Concurrency contract
 --------------------
-The engine itself is synchronous and internally locked; writers fold and
-publish, readers ``acquire()`` a snapshot lease and ``release()`` it when
-done.  Snapshots freeze themselves on construction
+The engine is synchronous and thread-safe, with one writer and any
+number of readers.  Two locks split the work, always taken writer
+first:
+
+* the **writer lock** serialises :meth:`~CorrelationEngine.fold_batch`,
+  :meth:`~CorrelationEngine.fold_month`, :meth:`~CorrelationEngine.publish`
+  and :meth:`~CorrelationEngine.save`.  Readers never take it, so a
+  fold or a derivation never delays a read;
+* the **lease lock** guards only the lease table and the swap of the
+  published snapshot pointer.  ``publish()`` derives the next snapshot
+  under the writer lock alone and holds the lease lock just for the
+  swap, so a reader waits at most for a dict update.
+
+Two paths cross the locks.  ``acquire()`` on an engine that has
+published nothing takes the writer lock to publish epoch 1, re-checking
+the pointer inside, so concurrent first readers publish it once.
+``close()`` takes both, so a fold already running finishes before the
+engine closes; afterwards folds, publishes and acquires raise and
+``release()`` keeps working.
+
+Readers ``acquire()`` a snapshot lease and ``release()`` it when done.
+Snapshots freeze themselves on construction
 (:func:`~repro.serve.snapshot.freeze_snapshot`), so arbitrarily many
 readers can share one without copies.  RL020 gates the lease discipline
 statically (acquire/release balance, epoch monotonicity, no
@@ -35,14 +54,19 @@ from ..fits.fitting import FitResult, fit_temporal
 from ..hypersparse.coo import SparseVec
 from ..obs.metrics import (
     SERVE_BATCHES_FOLDED,
+    SERVE_EPOCH_LAG,
+    SERVE_FOLD_SECONDS,
+    SERVE_PUBLISH_SECONDS,
     SERVE_WINDOWS_CLOSED,
     SNAPSHOT_EPOCH,
+    SNAPSHOT_LEASES,
     SNAPSHOT_READERS,
     SNAPSHOTS_PUBLISHED,
     inc,
+    observe,
     set_gauge,
 )
-from ..obs.spans import annotate, span
+from ..obs.spans import annotate, span, stopwatch
 from ..stream.analyzer import StreamingWindowAnalyzer
 from ..traffic.packet import Packets
 from .snapshot import EngineSnapshot, load_snapshot, save_snapshot
@@ -81,7 +105,10 @@ class CorrelationEngine:
         cutoff: int = 1 << 14,
         mem_budget: Optional[int] = None,
     ):
-        self._lock = threading.RLock()
+        # Writer lock: folds, publish, save.  Lease lock: the lease table
+        # and the snapshot pointer.  See the module's concurrency contract.
+        self._write_lock = threading.RLock()
+        self._lease_lock = threading.Lock()
         self._analyzer = StreamingWindowAnalyzer(
             n_valid, shape=shape, cutoff=cutoff, mem_budget=mem_budget
         )
@@ -135,7 +162,7 @@ class CorrelationEngine:
 
     def outstanding_leases(self) -> int:
         """Snapshot leases acquired but not yet released."""
-        with self._lock:
+        with self._lease_lock:
             return sum(self._leases.values())
 
     def close(self) -> None:
@@ -144,30 +171,34 @@ class CorrelationEngine:
         Closing with reader leases outstanding is allowed and
         :meth:`outstanding_leases` keeps reporting them: readers may
         still *release* after close, but no new folds, publishes or
-        acquires are accepted.
+        acquires are accepted.  A fold or publish already running
+        finishes first.
         """
-        with self._lock:
+        with self._write_lock, self._lease_lock:
             self._closed = True
 
     # -- folding (the single writer) ---------------------------------------
 
     def fold_batch(self, packets: Packets) -> int:
         """Absorb one time-ordered packet batch; return windows closed."""
-        self._ensure_open()
-        with self._lock, span("serve_fold"):
-            annotate(batch_packets=len(packets))
-            completed = self._analyzer.process(packets)
-            for stats in completed:
-                assert stats.matrix is not None  # engine keeps matrices
-                self._win_index.append(stats.index + self._index_offset)
-                self._win_start.append(stats.start_time)
-                self._win_end.append(stats.end_time)
-                self._win_quantities.append(stats.quantities)
-                self._win_dists.append(stats.degree_distribution)
-                self._latest_sources = stats.matrix.row_reduce()
+        with self._write_lock:
+            self._ensure_open()
+            with span("serve_fold"), stopwatch() as took:
+                annotate(batch_packets=len(packets))
+                completed = self._analyzer.process(packets)
+                for stats in completed:
+                    assert stats.matrix is not None  # engine keeps matrices
+                    self._win_index.append(stats.index + self._index_offset)
+                    self._win_start.append(stats.start_time)
+                    self._win_end.append(stats.end_time)
+                    self._win_quantities.append(stats.quantities)
+                    self._win_dists.append(stats.degree_distribution)
+                    self._latest_sources = stats.matrix.row_reduce()
+            observe(SERVE_FOLD_SECONDS, took.seconds)
             inc(SERVE_BATCHES_FOLDED)
             if completed:
                 inc(SERVE_WINDOWS_CLOSED, len(completed))
+            self._gauge_epoch_lag()
             return len(completed)
 
     def fold_month(self, time: float, sources: np.ndarray) -> None:
@@ -177,13 +208,13 @@ class CorrelationEngine:
         another dtype, or one holding a negative value, raises
         ``ValueError`` rather than wrapping into a false uint64 source.
         """
-        self._ensure_open()
-        arr = np.asarray(sources)
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"month sources must be integers, got dtype {arr.dtype}")
-        if arr.size and np.issubdtype(arr.dtype, np.signedinteger) and arr.min() < 0:
-            raise ValueError(f"month sources must be non-negative, got {int(arr.min())}")
-        with self._lock:
+        with self._write_lock:
+            self._ensure_open()
+            arr = np.asarray(sources)
+            if arr.size and not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"month sources must be integers, got dtype {arr.dtype}")
+            if arr.size and np.issubdtype(arr.dtype, np.signedinteger) and arr.min() < 0:
+                raise ValueError(f"month sources must be non-negative, got {int(arr.min())}")
             uniq = np.unique(arr.astype(np.uint64))
             self._months.append((float(time), uniq))
             self._months.sort(key=lambda m: m[0])
@@ -219,30 +250,46 @@ class CorrelationEngine:
 
     # -- publication and reader leases -------------------------------------
 
+    def _gauge_epoch_lag(self) -> None:
+        """Gauge the windows closed but not yet in a published snapshot.
+
+        Called under the writer lock, the only place the pointer moves.
+        """
+        published = self._snapshot.window_count if self._snapshot is not None else 0
+        set_gauge(SERVE_EPOCH_LAG, len(self._win_index) - published)
+
     def publish(self) -> EngineSnapshot:
-        """Derive, freeze and publish the next epoch's snapshot."""
-        self._ensure_open()
-        with self._lock, span("snapshot_publish"):
-            self._epoch += 1
-            annotate(epoch=self._epoch)
-            times, fracs = self._overlap_curve()
-            self._month_times, self._month_fracs = times, fracs
-            snap = EngineSnapshot(
-                epoch=self._epoch,
-                n_valid=self.n_valid,
-                window_index=np.asarray(self._win_index, dtype=np.int64),
-                window_start=np.asarray(self._win_start, dtype=np.float64),
-                window_end=np.asarray(self._win_end, dtype=np.float64),
-                quantities=tuple(self._win_quantities),
-                degree_distributions=tuple(self._win_dists),
-                month_times=times,
-                overlap_fractions=fracs,
-                correlation=self._coeval_correlation(),
-                fit=self._temporal_fit(times, fracs),
-            )
-            self._snapshot = snap
+        """Derive, freeze and publish the next epoch's snapshot.
+
+        Readers keep leasing the previous epoch while this derives; the
+        lease lock is held only to swap the pointer.
+        """
+        with self._write_lock:
+            self._ensure_open()
+            with span("snapshot_publish"), stopwatch() as took:
+                self._epoch += 1
+                annotate(epoch=self._epoch)
+                times, fracs = self._overlap_curve()
+                self._month_times, self._month_fracs = times, fracs
+                snap = EngineSnapshot(
+                    epoch=self._epoch,
+                    n_valid=self.n_valid,
+                    window_index=np.asarray(self._win_index, dtype=np.int64),
+                    window_start=np.asarray(self._win_start, dtype=np.float64),
+                    window_end=np.asarray(self._win_end, dtype=np.float64),
+                    quantities=tuple(self._win_quantities),
+                    degree_distributions=tuple(self._win_dists),
+                    month_times=times,
+                    overlap_fractions=fracs,
+                    correlation=self._coeval_correlation(),
+                    fit=self._temporal_fit(times, fracs),
+                )
+                with self._lease_lock:
+                    self._snapshot = snap
+            observe(SERVE_PUBLISH_SECONDS, took.seconds)
             inc(SNAPSHOTS_PUBLISHED)
             set_gauge(SNAPSHOT_EPOCH, self._epoch)
+            self._gauge_epoch_lag()
             return snap
 
     def acquire(self) -> EngineSnapshot:
@@ -252,12 +299,20 @@ class CorrelationEngine:
         Every acquire must be matched by exactly one :meth:`release` —
         RL020 proves that per-path for local leases.
         """
-        self._ensure_open()
-        with self._lock:
-            snap = self._snapshot if self._snapshot is not None else self.publish()
+        if self._snapshot is None:
+            # The pointer only ever moves from None to a snapshot, so this
+            # unlocked peek can be stale only in the slow direction; the
+            # re-check under the writer lock publishes epoch 1 once.
+            with self._write_lock:
+                if self._snapshot is None:
+                    self.publish()
+        with self._lease_lock:
+            self._ensure_open()
+            snap = self._snapshot
             self._leases[snap.epoch] = self._leases.get(snap.epoch, 0) + 1
-            inc(SNAPSHOT_READERS)
-            return snap
+            set_gauge(SNAPSHOT_LEASES, sum(self._leases.values()))
+        inc(SNAPSHOT_READERS)
+        return snap
 
     def release(self, snap: EngineSnapshot) -> None:
         """Return a reader lease (valid even after :meth:`close`).
@@ -265,7 +320,7 @@ class CorrelationEngine:
         Releasing an epoch that holds no lease raises ``ValueError`` and
         leaves the lease table unchanged.
         """
-        with self._lock:
+        with self._lease_lock:
             held = self._leases.get(snap.epoch, 0)
             if held <= 0:
                 raise ValueError(
@@ -275,6 +330,7 @@ class CorrelationEngine:
                 del self._leases[snap.epoch]
             else:
                 self._leases[snap.epoch] = held - 1
+            set_gauge(SNAPSHOT_LEASES, sum(self._leases.values()))
 
     # -- queries (read the published snapshot) ------------------------------
 
@@ -309,8 +365,7 @@ class CorrelationEngine:
 
     def save(self, path: Union[str, Path]) -> Path:
         """Publish the current state and serialize the snapshot."""
-        self._ensure_open()
-        with self._lock:
+        with self._write_lock:
             return save_snapshot(self.publish(), path)
 
     @classmethod

@@ -58,6 +58,22 @@ class TestSmoke:
         assert "0 windows" in capsys.readouterr().out
 
 
+class TestHealth:
+    def test_health_line_after_final_publish(self, capsys):
+        assert main(["smoke", "--batches", "16", "--readers", "2"]) == 0
+        captured = capsys.readouterr()
+        epoch = int(re.search(r"epoch (\d+),", captured.out).group(1))
+        (line,) = captured.err.splitlines()
+        match = re.fullmatch(
+            r"health: fold 16 x mean [\d.]+ ms, max [\d.]+ ms; "
+            r"publish (\d+) x mean [\d.]+ ms, max [\d.]+ ms; "
+            r"leases 0; epoch lag 0",
+            line,
+        )
+        assert match, line
+        assert int(match.group(1)) == epoch  # one publish per epoch
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",

@@ -1,11 +1,24 @@
 """CorrelationEngine: lifecycle, queries, save/restore round-trips."""
 
 import re
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.obs.metrics import (
+    SERVE_EPOCH_LAG,
+    SERVE_FOLD_SECONDS,
+    SERVE_PUBLISH_SECONDS,
+    SNAPSHOT_LEASES,
+    enable_metrics,
+    gauge,
+    histogram,
+    metrics_enabled,
+    reset_metrics,
+)
 from repro.serve import CorrelationEngine, EngineSnapshot, load_snapshot, snapshot_buffers
 from repro.serve import snapshot as snapshot_module
 from repro.serve.cli import synthetic_batch, synthetic_month
@@ -344,3 +357,201 @@ class TestSnapshotDurability:
             assert resumed.window_count == 2
         finally:
             resumed.close()
+
+
+def _join(*threads):
+    """Join each thread with a timeout and assert that it finished."""
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive(), thread.name
+
+
+def _hold_folds(engine):
+    """Make each fold signal ``in_fold`` and wait for ``resume`` while it
+    holds the writer lock; return ``(in_fold, resume)``."""
+    in_fold, resume = threading.Event(), threading.Event()
+    process = engine._analyzer.process
+
+    def held_process(packets):
+        in_fold.set()
+        assert resume.wait(10)
+        return process(packets)
+
+    engine._analyzer.process = held_process
+    return in_fold, resume
+
+
+def _paced_reader(engine, done, reads, pause=0.005):
+    """Acquire, read, release, then sleep ``pause``, until ``done`` is set.
+
+    Appends each leased epoch to ``reads``.
+    """
+    while not done.is_set():
+        snap = engine.acquire()
+        try:
+            epoch = snap.epoch
+            if snap.window_count:
+                assert snap.quantities[-1].valid_packets == engine.n_valid
+        finally:
+            engine.release(snap)
+        reads.append(epoch)
+        time.sleep(pause)
+
+
+class TestReadersNeverWaitOnWriter:
+    def test_back_to_back_writer_does_not_starve_a_reader(self):
+        # The writer folds with no yield between batches; only the
+        # reader's own 5 ms pause should bound its read rate.
+        pause = 0.005
+        reads = []
+        done = threading.Event()
+        batches = [synthetic_batch(7, b, 4096, 16384) for b in range(768)]
+        with CorrelationEngine(2**17, cutoff=2**12) as engine:
+            reader = threading.Thread(target=_paced_reader, args=(engine, done, reads, pause))
+            start = time.perf_counter()
+            reader.start()
+            try:
+                for batch in batches:
+                    if engine.fold_batch(batch):
+                        engine.publish()
+            finally:
+                done.set()
+                _join(reader)
+            elapsed = time.perf_counter() - start
+            assert engine.window_count == 24
+            assert engine.outstanding_leases() == 0
+        assert len(reads) >= elapsed / pause / 2, (len(reads), elapsed)
+
+    def test_first_readers_publish_epoch_one_once(self):
+        # Readers hit a fresh engine while the writer is mid-fold: they
+        # wait for that fold, then exactly one of them publishes epoch 1.
+        engine = CorrelationEngine(128, cutoff=1 << 8)
+        in_fold, resume = _hold_folds(engine)
+        publishes = []
+        publish = engine.publish
+
+        def counted_publish():
+            publishes.append(publish())
+            return publishes[-1]
+
+        engine.publish = counted_publish
+        got = []
+
+        def first_read():
+            snap = engine.acquire()
+            got.append(snap)
+            engine.release(snap)
+
+        writer = threading.Thread(target=engine.fold_batch, args=(synthetic_batch(3, 0, 300, 800),))
+        readers = [threading.Thread(target=first_read) for _ in range(4)]
+        writer.start()
+        assert in_fold.wait(10)
+        for thread in readers:
+            thread.start()
+        time.sleep(0.05)  # let the readers reach acquire() mid-fold
+        resume.set()
+        _join(writer, *readers)
+        try:
+            assert [snap.epoch for snap in publishes] == [1]
+            assert all(snap is publishes[0] for snap in got) and len(got) == 4
+            assert publishes[0].window_count == 2  # published after the fold
+            assert engine.outstanding_leases() == 0
+        finally:
+            engine.close()
+
+    def test_epochs_a_reader_sees_never_decrease(self):
+        # More readers than cores, switching threads far more often than
+        # the default 5 ms: a lost lease-table update would leak a lease.
+        engine = CorrelationEngine(128, cutoff=1 << 8)
+        done = threading.Event()
+        seen = [[] for _ in range(4)]
+        readers = [
+            threading.Thread(target=_paced_reader, args=(engine, done, out, 0.0))
+            for out in seen
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            try:
+                for b in range(40):
+                    engine.fold_batch(synthetic_batch(5, b, 64, 800))
+                    engine.publish()
+                    engine.publish()
+            finally:
+                done.set()
+                _join(*readers)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            for epochs in seen:
+                assert epochs and epochs == sorted(epochs)
+            assert max(max(epochs) for epochs in seen) <= engine.epoch
+            assert engine.outstanding_leases() == 0
+        finally:
+            engine.close()
+
+    def test_close_waits_for_running_fold_then_refuses(self):
+        engine = CorrelationEngine(128, cutoff=1 << 8)
+        early = engine.acquire()
+        in_fold, resume = _hold_folds(engine)
+        closed = []
+        writer = threading.Thread(
+            target=lambda: closed.append(engine.fold_batch(synthetic_batch(3, 0, 300, 800)))
+        )
+        closer = threading.Thread(target=engine.close)
+        writer.start()
+        assert in_fold.wait(10)
+        closer.start()
+        closer.join(0.05)
+        # close() waits out the fold, and readers still lease meanwhile.
+        assert closer.is_alive() and not engine.closed
+        during = engine.acquire()
+        engine.release(during)
+        resume.set()
+        _join(writer, closer)
+        assert closed == [2] and engine.window_count == 2
+        assert engine.closed
+        with pytest.raises(RuntimeError):
+            engine.fold_batch(synthetic_batch(3, 1, 300, 800))
+        with pytest.raises(RuntimeError):
+            engine.acquire()
+        engine.release(early)
+        assert engine.outstanding_leases() == 0
+
+
+class TestHealthMetrics:
+    @pytest.fixture()
+    def recording(self):
+        was = metrics_enabled()
+        enable_metrics(True)
+        reset_metrics()
+        try:
+            yield
+        finally:
+            enable_metrics(was)
+            reset_metrics()
+
+    def test_epoch_lag_counts_unpublished_windows(self, recording):
+        with CorrelationEngine(100, cutoff=1 << 8) as engine:
+            engine.fold_batch(synthetic_batch(1, 0, 250, 500))
+            assert gauge(SERVE_EPOCH_LAG).value == 2
+            engine.publish()
+            assert gauge(SERVE_EPOCH_LAG).value == 0
+            engine.fold_batch(synthetic_batch(1, 1, 100, 500))
+            assert gauge(SERVE_EPOCH_LAG).value == 1
+            engine.publish()
+            assert gauge(SERVE_EPOCH_LAG).value == 0
+            assert histogram(SERVE_FOLD_SECONDS).count == 2
+            assert histogram(SERVE_PUBLISH_SECONDS).count == 2
+
+    def test_lease_gauge_follows_acquire_and_release(self, recording):
+        with CorrelationEngine(64) as engine:
+            a = engine.acquire()
+            b = engine.acquire()
+            assert gauge(SNAPSHOT_LEASES).value == 2
+            engine.release(a)
+            assert gauge(SNAPSHOT_LEASES).value == 1
+            engine.release(b)
+            assert gauge(SNAPSHOT_LEASES).value == 0
