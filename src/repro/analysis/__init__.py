@@ -11,7 +11,7 @@ aggressive without silently corrupting the science:
 * :mod:`repro.analysis.engine` — an AST-walking rule engine with an
   in-source allowlist escape hatch (``# lint: allow-<tag>``);
 * :mod:`repro.analysis.rules` — the rule catalogue: seeded randomness
-  (RL001), dtype and packed-key width discipline (RL002, RL011, RL013),
+  (RL001), dtype and packed-key width discipline (RL002, RL011),
   no per-entry loops in hot paths (RL003), clock reads (RL006, RL007),
   no re-sort of canonical runs (RL008), fork safety and immutability
   over the whole-program flow graph (RL009, RL010), the knob registry
@@ -24,21 +24,14 @@ aggressive without silently corrupting the science:
   the style of :mod:`repro.report.ascii_plot`);
 * ``python -m repro.analysis`` / ``repro lint`` — the CLI.
 
+Importing the package imports none of the lint machinery: kernels pull
+in only :mod:`~repro.analysis.contracts` and :mod:`~repro.analysis.knobs`,
+and the engine and rules load when a lint actually runs.
+
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue.
 """
 
-from .engine import Finding, LintResult, Rule, lint_paths
-from .rules import ALL_RULES, rule_by_id
-
-__all__ = [
-    "Finding",
-    "LintResult",
-    "Rule",
-    "lint_paths",
-    "ALL_RULES",
-    "rule_by_id",
-    "main",
-]
+__all__ = ["main"]
 
 
 def main(argv=None):

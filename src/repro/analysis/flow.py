@@ -1,6 +1,6 @@
 """Project-wide dataflow analysis for repro-lint.
 
-The per-file rules (RL001–RL003, RL006–RL008, RL011–RL013) reason about
+The per-file rules (RL001–RL003, RL006–RL008, RL011, RL012) reason about
 one AST at a time.  The rules this module enables — fork-safety of pool workers (RL009),
 immutability of canonical matrix fields (RL010) — need *whole-program*
 facts: who calls whom across modules, what a function (and everything it

@@ -4,7 +4,7 @@ Each rule encodes one of the domain invariants the reproduction's
 correctness rests on; ``docs/STATIC_ANALYSIS.md`` is the user-facing
 catalogue (its rule table is generated from the ``scope``/``doc``
 attributes here — single source of truth).  RL001–RL003, RL006–RL008
-and RL011–RL013 are pure per-file AST checks; RL009 and RL010 are
+and RL011, RL012 are pure per-file AST checks; RL009 and RL010 are
 :class:`~repro.analysis.engine.ProjectRule` subclasses reasoning over
 the whole-program :class:`~repro.analysis.flow.FlowGraph`, as are
 RL016 and RL020 (:mod:`repro.analysis.concurrency`,
@@ -21,18 +21,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .concurrency import WriterLifecycleRule
 from .service import EngineLifecycleRule
 from .engine import FileContext, Finding, ProjectRule, Rule
-from .intervals import (
-    PYINT,
-    UNKNOWN,
-    WIDTH_RANGES,
-    AbstractValue,
-    Env,
-    Interval,
-    cast_dtype,
-    eval_expr,
-    promote,
-    scope_env,
-)
 
 __all__ = [
     "UnseededRandomRule",
@@ -45,7 +33,6 @@ __all__ = [
     "ImmutabilityRule",
     "DtypeWidthRule",
     "EnvKnobRule",
-    "OverflowProofRule",
     "WriterLifecycleRule",
     "EngineLifecycleRule",
     "ALL_RULES",
@@ -800,20 +787,17 @@ class DtypeWidthRule(Rule):
     included), which keeps the splitmix64 mixer and the sanctioned
     cast-operands-first packing idiom clean without annotations.
 
-    Since RL013 landed this rule is the *fast pre-pass*: inside RL013's
-    scope (``repro/hypersparse/``, ``repro/d4m/keys.py``) the syntactic
-    check stands down and the interval analysis judges the same
-    expressions with an actual value-range proof — it both discharges
-    shapes this rule would flag (a multiply proven to fit int64 before
-    its cast) and catches wraps this rule cannot see (a shift of
-    evidently-uint64 operands whose *values* exceed 2^64-1).  Outside
-    that scope the cheap syntactic check still patrols everything.
+    The rule checks the *shape* of the arithmetic, not value ranges: the
+    ranges are guarded where shapes are made (every matrix shape passes
+    ``repro.hypersparse.coo.checked_shape``, so ``nrows * ncols <= 2^64``
+    bounds every packed key), and the ``overflow`` sanitizer (RS001)
+    re-checks the actual packed maximum at runtime.
     """
 
     id = "RL011"
     tag = "width"
     description = "shift/multiply that can overflow before its uint64 cast"
-    scope = "`repro/` outside RL013's proof scope"
+    scope = "`repro/`"
     doc = (
         "Dtype-width flow for packed keys: the 2^32-radix packing "
         "`key = row * 2**32 + col` (and its shift form) must happen in "
@@ -822,9 +806,7 @@ class DtypeWidthRule(Rule):
         "a shift/multiply/add whose operands aren't evidently 64-bit, and "
         "explicitly narrowed operands (`.astype(np.int32)`, "
         "`dtype=np.uint32`) feeding a widening op — both are how keys "
-        "silently truncate on 32-bit-default platforms.  Inside the "
-        "interval-proof scope this rule stands down: RL013 re-judges the "
-        "same shapes with derived value ranges."
+        "silently truncate on 32-bit-default platforms."
     )
 
     def _safe_names(
@@ -899,8 +881,6 @@ class DtypeWidthRule(Rule):
         """Flag width-unsafe packed-key arithmetic, scope by scope."""
         if not ctx.in_package("repro/"):
             return
-        if OverflowProofRule.scoped(ctx):
-            return  # RL013's interval proof replaces the syntactic check
         yield from self._check_scope(ctx, ctx.tree.body, set())
 
 
@@ -999,232 +979,6 @@ class EnvKnobRule(Rule):
                         )
 
 
-#: One axis of the paper's 2^32 x 2^32 IPv4 plane.
-_DIM = 2**32
-
-#: Domain assumptions the interval proofs rest on: the value ranges of
-#: conventionally named packed-key quantities, given the paper's 2^32
-#: dims.  Coordinates live on one IPv4 axis, packed keys span uint64,
-#: shapes are Python ints bounded by the axis.  Names not listed here
-#: are honestly unknown — expressions over them must be clamped, proven
-#: through other seeds, or justified with ``# lint: allow-overflow``.
-_DOMAIN: Dict[str, AbstractValue] = {
-    **{
-        name: AbstractValue(Interval(0, _DIM - 1), "uint64")
-        for name in ("rows", "cols", "row", "col", "coord", "codes")
-    },
-    **{
-        name: AbstractValue(Interval(0, 2**64 - 1), "uint64")
-        for name in ("keys", "key", "packed", "sorted_keys")
-    },
-    **{
-        name: AbstractValue(Interval(1, _DIM), PYINT)
-        for name in ("nrows", "ncols")
-    },
-    "bound": AbstractValue(Interval(0, _DIM), PYINT),
-    "self.shape": AbstractValue(Interval(1, _DIM), PYINT),
-    "self._rows": AbstractValue(Interval(0, _DIM - 1), "uint64"),
-    "self._cols": AbstractValue(Interval(0, _DIM - 1), "uint64"),
-    "self._keys": AbstractValue(Interval(0, 2**64 - 1), "uint64"),
-    "self.keys": AbstractValue(Interval(0, 2**64 - 1), "uint64"),
-}
-
-#: Operators RL013 must bound: their mathematical result can leave the
-#: operand width (``-`` only downward, on unsigned widths).
-_PROOF_OPS: Dict[type, str] = {
-    ast.Add: "+",
-    ast.Sub: "-",
-    ast.Mult: "*",
-    ast.LShift: "<<",
-}
-
-
-def _fmt_iv(iv: Interval) -> str:
-    lo = "-inf" if iv.lo is None else str(iv.lo)
-    hi = "+inf" if iv.hi is None else str(iv.hi)
-    return f"[{lo}, {hi}]"
-
-
-def _param_names(args: ast.arguments) -> Iterator[str]:
-    for a in [
-        *args.posonlyargs,
-        *args.args,
-        *([args.vararg] if args.vararg else []),
-        *args.kwonlyargs,
-        *([args.kwarg] if args.kwarg else []),
-    ]:
-        yield a.arg
-
-
-class OverflowProofRule(Rule):
-    """RL013 — interval proof that packed-key arithmetic cannot wrap.
-
-    Where RL011 recognizes unsafe *shapes*, this rule derives the
-    mathematical value range of every ``+ - * <<`` whose arithmetic
-    runs at a concrete NumPy integer width, and compares it against
-    that width: a range provably inside the dtype is a proof, a range
-    that can leave it is a flagged wraparound, and a range the analysis
-    cannot bound is flagged as unprovable (clamp it, derive it from the
-    domain seeds, or justify the site with ``# lint: allow-overflow``).
-
-    The proofs rest on the paper's ``2^32 x 2^32`` operating domain
-    (:data:`_DOMAIN` seeds conventionally named quantities: coordinate
-    arrays below ``2^32``, packed keys within ``uint64``, shapes
-    bounded by the axis) and on the flow-insensitive per-scope interval
-    environment of :mod:`repro.analysis.intervals`.  Python-int
-    arithmetic is exempt — it is exact, and NumPy raises loudly rather
-    than wrapping when casting an out-of-range Python int.
-
-    The rule also re-judges RL011's cast-after-arithmetic shape: a
-    ``np.uint64(a * b)`` whose operand widths are unknown runs at the
-    platform's native int64 at best, so the inner range is checked
-    against int64 — proving safe what RL011 could only suspect, and
-    flagging the rest with the derived range in the message.
-    """
-
-    id = "RL013"
-    tag = "overflow"
-    description = "packed-key arithmetic whose derived value range can leave its width"
-    scope = "`repro/hypersparse/`, `repro/d4m/keys.py`"
-    doc = (
-        "Overflow proof by interval abstract interpretation: every "
-        "`+ - * <<` running at a concrete NumPy integer width must have a "
-        "derived value range provably inside that width, seeded from the "
-        "paper's 2^32×2^32 operating domain (coordinate arrays below 2^32, "
-        "packed keys within `uint64`, shapes bounded by the axis).  A range "
-        "that can leave the width is a proven wraparound; a range the "
-        "analysis cannot bound is flagged as unprovable — clamp with a "
-        "mask, derive it from the domain seeds, or justify the site with "
-        "`# lint: allow-overflow`.  Subsumes RL011 inside this scope "
-        "(cast-after-arithmetic is re-judged against int64, discharging "
-        "what the proof shows safe)."
-    )
-
-    _PACKAGES = ("repro/hypersparse/",)
-    _MODULES = ("repro/d4m/keys.py",)
-
-    @classmethod
-    def scoped(cls, ctx: FileContext) -> bool:
-        """True when ``ctx`` falls under the interval-proof regime."""
-        return ctx.in_package(*cls._PACKAGES) or ctx.is_module(*cls._MODULES)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Prove or flag every widening arithmetic node in scope."""
-        if not self.scoped(ctx):
-            return
-        yield from self._check_scope(ctx, ctx.tree.body, dict(_DOMAIN))
-
-    def _check_scope(
-        self, ctx: FileContext, stmts: Sequence[ast.stmt], base: Env
-    ) -> Iterator[Finding]:
-        nested: List[ast.AST] = []
-        env = scope_env(stmts, base, nested)
-        inner_nested: List[Sequence[ast.stmt]] = []
-        for stmt in stmts:
-            for node in _walk_scope(stmt, inner_nested):
-                if isinstance(node, ast.BinOp) and type(node.op) in _PROOF_OPS:
-                    yield from self._check_binop(ctx, node, env)
-                elif isinstance(node, ast.Call) and cast_dtype(node) == "uint64":
-                    yield from self._check_cast(ctx, node, env)
-        for child in nested:
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_env = dict(env)
-                for pname in _param_names(child.args):
-                    child_env[pname] = _DOMAIN.get(pname, AbstractValue.unknown())
-                yield from self._check_scope(ctx, child.body, child_env)
-            elif isinstance(child, ast.ClassDef):
-                yield from self._check_scope(ctx, child.body, env)
-
-    def _check_binop(
-        self, ctx: FileContext, node: ast.BinOp, env: Env
-    ) -> Iterator[Finding]:
-        left = eval_expr(node.left, env)
-        right = eval_expr(node.right, env)
-        if isinstance(node.op, ast.LShift):
-            width = left.width  # the shift amount never widens the value
-        else:
-            width = promote(left.width, right.width)
-        if width not in WIDTH_RANGES:
-            return  # exact Python ints, floats, or unknown (judged at casts)
-        lo_w, hi_w = WIDTH_RANGES[width]
-        val = eval_expr(node, env)
-        op = _PROOF_OPS[type(node.op)]
-        if isinstance(node.op, ast.Sub):
-            # Only proven-possible underflow is flagged: flow-insensitive
-            # intervals cannot see ordering guards, and unsigned
-            # subtraction under a known a >= b guard is idiomatic.
-            if width.startswith("u") and val.iv.lo is not None and val.iv.lo < lo_w:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"'-' at {width} can wrap below {lo_w}: derived range "
-                    f"{_fmt_iv(val.iv)}; reorder the operands or clamp first",
-                )
-            return
-        if val.iv.hi is None:
-            yield self.finding(
-                ctx,
-                node,
-                f"'{op}' at {width} cannot be bounded: an operand's value "
-                "range is unknown to the interval analysis; clamp with a "
-                "mask, derive it from the 2^32-dim domain seeds, or justify "
-                "the site with '# lint: allow-overflow'",
-            )
-        elif val.iv.hi > hi_w:
-            yield self.finding(
-                ctx,
-                node,
-                f"'{op}' at {width} can wrap: derived range {_fmt_iv(val.iv)} "
-                f"exceeds the {width} maximum {hi_w}; prove the operands "
-                "smaller or mask the result",
-            )
-        elif val.iv.lo is not None and val.iv.lo < lo_w:
-            yield self.finding(
-                ctx,
-                node,
-                f"'{op}' at {width} can go negative: derived range "
-                f"{_fmt_iv(val.iv)} dips below {lo_w}",
-            )
-
-    def _check_cast(
-        self, ctx: FileContext, node: ast.Call, env: Env
-    ) -> Iterator[Finding]:
-        from .intervals import _cast_operand  # shared structural helper
-
-        inner = _cast_operand(node)
-        if not isinstance(inner, ast.BinOp) or type(inner.op) not in (
-            ast.Add,
-            ast.Mult,
-            ast.LShift,
-        ):
-            return
-        left = eval_expr(inner.left, env)
-        right = eval_expr(inner.right, env)
-        if isinstance(inner.op, ast.LShift):
-            width = left.width
-        else:
-            width = promote(left.width, right.width)
-        if width != UNKNOWN:
-            return  # concrete widths were already judged at the BinOp
-        val = eval_expr(inner, env)
-        lo64, hi64 = WIDTH_RANGES["int64"]
-        if val.iv.within(lo64, hi64):
-            return  # proven: fits the widest native width before the cast
-        op = _PROOF_OPS[type(inner.op)]
-        detail = (
-            "the derived range cannot be bounded"
-            if val.iv.hi is None
-            else f"derived range {_fmt_iv(val.iv)} exceeds int64"
-        )
-        yield self.finding(
-            ctx,
-            node,
-            f"uint64 cast applied after '{op}': the arithmetic runs at the "
-            f"operands' native width (int64 at best) and {detail}; cast the "
-            "operands to uint64 before the arithmetic",
-        )
-
-
 #: Every shipped rule, in catalogue order.
 ALL_RULES: Tuple[Rule, ...] = (
     UnseededRandomRule(),
@@ -1237,7 +991,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     ImmutabilityRule(),
     DtypeWidthRule(),
     EnvKnobRule(),
-    OverflowProofRule(),
     WriterLifecycleRule(),
     EngineLifecycleRule(),
 )

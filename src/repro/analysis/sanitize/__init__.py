@@ -7,8 +7,9 @@ at runtime by arming cheap dynamic checks around the same invariants:
 ``overflow`` (RS001)
     uint64 wraparound in the packed-key kernels.  NumPy wraps unsigned
     integer arithmetic silently, so the sanitizer re-derives each pack's
-    true maximum in exact Python ints — the dynamic twin of rule RL013's
-    interval proof — and arms ``np.seterr`` for floating overflow.
+    true maximum in exact Python ints — cross-validating rule RL011 and
+    the index-space check every matrix shape passes — and arms
+    ``np.seterr`` for floating overflow.
 ``mutate`` (RS002)
     writes to canonical buffers after construction.  Buffers are frozen
     (``writeable=False``) and fingerprinted when a kernel object or a

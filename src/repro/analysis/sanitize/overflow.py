@@ -1,17 +1,16 @@
 """The ``overflow`` sanitizer (RS001): uint64 wraparound in key packing.
 
 NumPy wraps unsigned integer arithmetic silently — ``np.seterr`` has no
-integer mode — so rule RL013's interval proof has no runtime ally in
-NumPy itself.  This sanitizer supplies one: it wraps the key-packing
-function of :mod:`repro.hypersparse.coo` so each pack's true maximum
-is re-derived in exact Python ints (which cannot wrap) from the actual
-runtime operands, and wraps the sort-pack kernel
-``_stable_sorted_with_order`` likewise, recording an RS001 trap
-whenever the packed range leaves uint64.  It is the dynamic twin of
-the static proof: RL013
-bounds the *derivable* range, the sanitizer measures the *actual* one —
-including at the one ``# lint: allow-overflow`` site, whose bit-length
-guard it re-validates on every call.
+integer mode.  Packed keys are guarded twice before they are made:
+rule RL011 keeps the packing arithmetic at uint64 width, and
+:func:`repro.hypersparse.coo.checked_shape` keeps every matrix's index
+space within ``2^64``.  This sanitizer cross-validates both at runtime:
+it wraps the key-packing function of :mod:`repro.hypersparse.coo` so
+each pack's true maximum is re-derived in exact Python ints (which
+cannot wrap) from the actual runtime operands, and wraps the sort-pack
+kernel ``_stable_sorted_with_order`` likewise, re-validating its
+bit-length guard on every call.  Either wrapper records an RS001 trap
+whenever the packed range leaves uint64.
 
 Floating-point overflow is also armed (``np.seterr(over="call")``) so a
 diverging fit or spectral kernel is caught by the same trap log.
@@ -64,9 +63,9 @@ def _checked_stable_sort(orig: Callable[..., Any]) -> Callable[..., Any]:
 
     The kernel's fast path packs ``(value << index_bits) | index``; its
     guard falls back to the stable argsort whenever the pack could leave
-    64 bits.  The static proof cannot see that guard (the site carries
-    ``# lint: allow-overflow``), so the sanitizer re-checks the *actual*
-    packed maximum whenever the fast path is taken.
+    64 bits.  No static rule judges that guard, so the sanitizer
+    re-checks the *actual* packed maximum whenever the fast path is
+    taken.
     """
 
     def stable_sorted_with_order(coord: np.ndarray, bound: int) -> Any:

@@ -7,8 +7,8 @@ three ways:
 
 1. **Across time, same instrument** — the pairwise KS-distance matrix of
    the five telescope samples' degree distributions (the quantitative
-   version of Fig 3's visual overlay), plus bootstrap confidence intervals
-   on the Fig 5 fit parameters showing the estimates are stable.
+   version of Fig 3's visual overlay), plus a bootstrap confidence interval
+   on each Fig 5 fit parameter showing the estimates are stable.
 2. **Across instruments, same time** — the coeval source-set overlap
    (Fig 4's aggregate) for every telescope sample against its own month.
 3. **Across instruments and time** — the fraction of each month's

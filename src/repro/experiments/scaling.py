@@ -31,6 +31,8 @@ import numpy as np
 from dataclasses import replace
 
 from ..core import CorrelationStudy
+from ..hypersparse import HyperSparseMatrix
+from ..hypersparse.coo import _row_of
 from ..synth import SourcePopulation, TelescopeSimulator
 from .common import Check, ascii_table
 
@@ -149,8 +151,6 @@ def _chunk_matrix(
     (fork-safety rule RL009); destinations come from a chunk-indexed RNG
     stream, deterministic regardless of pool width.
     """
-    from ..hypersparse import HyperSparseMatrix
-
     root = Path(spec_dir)
     addresses = np.load(root / "addresses.npy", mmap_mode="r")
     cum = np.load(root / "cum.npy", mmap_mode="r")
@@ -247,11 +247,15 @@ def assemble_window(
         shutil.rmtree(spec_root, ignore_errors=True)
 
 
-def _unique_rows(keys: np.ndarray) -> int:
-    """Distinct rows of canonical packed keys (sorted, so rows nondecrease)."""
-    if keys.size == 0:
+def _unique_rows(matrix: HyperSparseMatrix) -> int:
+    """Distinct rows of a matrix, read off its canonical packed keys.
+
+    Keys are sorted, so their row digits are non-decreasing and the
+    distinct count is the number of row transitions plus one.
+    """
+    if matrix.nnz == 0:
         return 0
-    rows = np.asarray(keys) >> np.uint64(32)
+    rows = _row_of(matrix.keys, matrix.shape[1])
     return int(np.count_nonzero(rows[1:] != rows[:-1])) + 1
 
 
@@ -314,7 +318,7 @@ def run_out_of_core(
                 # the ladder's own spill files).
                 run_file.path.unlink(missing_ok=True)
             else:
-                uniq = _unique_rows(acc.total().keys)
+                uniq = _unique_rows(acc.total())
         finally:
             acc.close()
         update_peak_rss()

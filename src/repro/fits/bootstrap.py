@@ -11,8 +11,8 @@ each temporal curve is an average of per-source indicator trajectories
 ("was source s in month m's honeyfarm set?"), so a bootstrap replicate
 resamples sources with replacement, rebuilds the curve, and refits.
 
-:func:`bootstrap_temporal_fit` does exactly that, returning percentile
-intervals for every fitted parameter and derived one-month drop.
+:func:`bootstrap_temporal_fit` does exactly that, returning a percentile
+interval for every fitted parameter and derived one-month drop.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def per_source_trajectories(
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """Percentile intervals for one curve's modified-Cauchy fit.
+    """Percentile confidence bounds for one curve's modified-Cauchy fit.
 
     Attributes
     ----------
@@ -77,7 +77,7 @@ class BootstrapResult:
         return self.lo[param], self.hi[param]
 
     def describe(self) -> str:
-        """One-line summary of all intervals."""
+        """One-line summary: each parameter's point estimate and interval."""
         parts = [
             f"{k}={self.point[k]:.3g} [{self.lo[k]:.3g}, {self.hi[k]:.3g}]"
             for k in self.point

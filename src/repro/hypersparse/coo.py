@@ -35,7 +35,7 @@ from ..obs.metrics import MERGE_FASTPATH_MISSES, inc
 from .merge import in_sorted, intersect_sorted, merge_combine
 from .semiring import PLUS_TIMES, Semiring
 
-__all__ = ["HyperSparseMatrix", "SparseVec", "IPV4_SPACE"]
+__all__ = ["HyperSparseMatrix", "SparseVec", "IPV4_SPACE", "checked_shape"]
 
 #: Size of the IPv4 address space; default matrix extent in the paper.
 IPV4_SPACE = 2**32
@@ -72,6 +72,25 @@ def _run_starts(sorted_arr: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
+def checked_shape(shape: Tuple[int, int]) -> Tuple[int, int]:
+    """``shape`` as two ints, once its index space fits the packed keys.
+
+    Every matrix coordinate ``(row, col)`` packs into one uint64 key
+    (:func:`_pack_keys`), so both extents must be positive and
+    ``nrows * ncols <= 2^64``; a larger space would wrap keys silently.
+    Every code path that makes a shape calls this, so coordinates inside
+    a shape always pack exactly.
+    """
+    nrows, ncols = int(shape[0]), int(shape[1])
+    if nrows <= 0 or ncols <= 0:
+        raise ValueError(f"shape extents must be positive, got {(nrows, ncols)}")
+    if nrows * ncols > 2**64:
+        raise ValueError(
+            f"shape {(nrows, ncols)} has an index space larger than 2^64"
+        )
+    return nrows, ncols
+
+
 def _pack_keys(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
     """Map (row, col) to a single uint64 key preserving lexicographic order.
 
@@ -92,6 +111,13 @@ def _unpack_keys(keys: np.ndarray, ncols: int) -> Tuple[np.ndarray, np.ndarray]:
         return keys >> shift, keys & np.uint64(ncols - 1)
     ncols_u = np.uint64(ncols)
     return keys // ncols_u, keys % ncols_u
+
+
+def _row_of(keys: np.ndarray, ncols: int) -> np.ndarray:
+    """Row digits of packed keys: the first half of :func:`_unpack_keys`."""
+    if ncols & (ncols - 1) == 0:
+        return keys >> np.uint64(ncols.bit_length() - 1)
+    return keys // np.uint64(ncols)
 
 
 def _combine_duplicates(
@@ -135,11 +161,10 @@ def _stable_sorted_with_order(
         order = np.argsort(coord, kind="stable")  # lint: allow-resort — cross-axis reduce
         return coord[order], order
     shift_u = np.uint64(shift)
-    # The interval analysis cannot see the bit-length guard above, which
-    # already fell back to the stable argsort whenever this packing could
-    # overflow; the 2^63/2^64 boundary tests pin the guard exactly, and
-    # the overflow sanitizer re-checks the packed maximum at runtime.
-    # lint: allow-overflow
+    # The bit-length guard above already fell back to the stable argsort
+    # whenever this packing could overflow; the 2^63/2^64 boundary tests
+    # pin the guard exactly, and the overflow sanitizer re-checks the
+    # packed maximum at runtime.
     combined = (coord << shift_u) | np.arange(n, dtype=np.uint64)
     combined.sort()
     order = (combined & np.uint64((1 << shift) - 1)).astype(np.intp)
@@ -350,11 +375,7 @@ class HyperSparseMatrix:
                 raise ValueError("rows, cols, vals must have identical shape")
         if rows.shape != cols.shape:
             raise ValueError("rows, cols, vals must have identical shape")
-        nrows, ncols = int(shape[0]), int(shape[1])
-        if nrows <= 0 or ncols <= 0:
-            raise ValueError("shape extents must be positive")
-        if nrows * ncols > 2**64:
-            raise ValueError("index space larger than 2^64 is not supported")
+        nrows, ncols = checked_shape(shape)
         if rows.size:
             if rows.max() >= np.uint64(nrows) or cols.max() >= np.uint64(ncols):
                 raise ValueError("coordinate outside matrix shape")
@@ -676,7 +697,7 @@ class HyperSparseMatrix:
         """
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"inner dimensions differ: {self.shape} x {other.shape}")
-        out_shape = (self.shape[0], other.shape[1])
+        out_shape = checked_shape((self.shape[0], other.shape[1]))
         if self.nnz == 0 or other.nnz == 0:
             return HyperSparseMatrix.empty(out_shape)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..obs.metrics import HIER_SUM_REDUCTIONS, MATRIX_NNZ, inc
 from ..obs.spans import span
-from .coo import IPV4_SPACE, HyperSparseMatrix
+from .coo import IPV4_SPACE, HyperSparseMatrix, checked_shape
 from .merge import kway_merge
 from .spill import (
     ENTRY_BYTES,
@@ -97,7 +97,7 @@ class HierarchicalMatrix:
     ):
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        self.shape = (int(shape[0]), int(shape[1]))
+        self.shape = checked_shape(shape)
         self.cutoff = int(cutoff)
         self.budget = configured_mem_budget() if budget is None else int(budget)
         if self.budget is not None and self.budget <= 0:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..analysis.contracts import checked
 from ..obs.spans import traced
-from .coo import HyperSparseMatrix, SparseVec
+from .coo import HyperSparseMatrix, SparseVec, checked_shape
 from .merge import in_sorted
 from .semiring import PLUS_TIMES, Semiring
 
@@ -134,9 +134,7 @@ def kron(a: HyperSparseMatrix, b: HyperSparseMatrix) -> HyperSparseMatrix:
     ``(a.nrows * b.nrows, a.ncols * b.ncols)`` and must fit the 2^64 key
     space.
     """
-    out_shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    if out_shape[0] * out_shape[1] > 2**64:
-        raise ValueError("Kronecker product exceeds the 2^64 index space")
+    out_shape = checked_shape((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
     if a.nnz == 0 or b.nnz == 0:
         return HyperSparseMatrix.empty(out_shape)
     rows = (a.rows[:, None] * np.uint64(b.shape[0]) + b.rows[None, :]).ravel()
@@ -147,10 +145,11 @@ def kron(a: HyperSparseMatrix, b: HyperSparseMatrix) -> HyperSparseMatrix:
 
 def diag(vec: SparseVec, n: int) -> HyperSparseMatrix:
     """Diagonal matrix with ``vec``'s entries at ``(k, k)``."""
+    shape = checked_shape((n, n))
     if vec.nnz and int(vec.keys.max()) >= n:
         raise ValueError("vector key outside diagonal extent")
     return HyperSparseMatrix._from_canonical(
-        vec.keys.copy(), vec.keys.copy(), vec.vals.copy(), (n, n)
+        vec.keys.copy(), vec.keys.copy(), vec.vals.copy(), shape
     )
 
 

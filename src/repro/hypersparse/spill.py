@@ -45,6 +45,7 @@ import numpy as np
 from ..analysis.knobs import env_str
 from ..obs.metrics import SHARD_BYTES_MAPPED, SHARD_SPILL_BYTES, SHARD_SPILLS, inc
 from ..obs.spans import span
+from .coo import _row_of, checked_shape
 from .merge import merge_combine
 
 __all__ = [
@@ -114,7 +115,7 @@ class ColumnarWriter:
 
     def __init__(self, path: PathLike, shape: Tuple[int, int]):
         self.path = Path(path)
-        self.shape = (int(shape[0]), int(shape[1]))
+        self.shape = checked_shape(shape)
         self.nnz = 0
         self._tmp = self.path.with_name(self.path.name + ".tmp")
         self._vals_tmp = self.path.with_name(self.path.name + ".vals.tmp")
@@ -215,7 +216,11 @@ def read_run_header(path: PathLike) -> Tuple[int, Tuple[int, int]]:
             f"columnar run {p} is truncated: header promises {expected} "
             f"bytes, file has {actual}"
         )
-    return int(nnz), (int(nrows), int(ncols))
+    try:
+        shape = checked_shape((nrows, ncols))
+    except ValueError as exc:
+        raise ValueError(f"columnar run {p} has a bad header: {exc}") from None
+    return int(nnz), shape
 
 
 def load_run(
@@ -276,13 +281,6 @@ def unique_rows_of_run(
             total += 1
         prev_last = rows[-1]
     return total
-
-
-def _row_of(keys: np.ndarray, ncols: int) -> np.ndarray:
-    """Row digits of packed keys (shift for power-of-two column extents)."""
-    if ncols & (ncols - 1) == 0:
-        return keys >> np.uint64(ncols.bit_length() - 1)
-    return keys // np.uint64(ncols)
 
 
 def merge_runs_streamed(

@@ -3,8 +3,8 @@
 :class:`InternetModel` bundles a :class:`~repro.synth.SourcePopulation`
 with the telescope and honeyfarm simulators; :class:`StudyScenario`
 captures the paper's observation schedule (Table I): fifteen honeyfarm
-months from 2020-02 and five telescope samples at roughly six-week
-intervals on Wednesdays at noon or midnight, expressed as fractional
+months from 2020-02 and five telescope samples roughly six weeks
+apart, on Wednesdays at noon or midnight, expressed as fractional
 month offsets from the study start.
 """
 

@@ -61,6 +61,27 @@ class TestReproSubcommand:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+class TestImportCost:
+    def test_runtime_imports_skip_the_lint_engine(self):
+        # Kernels and the service import repro.analysis for contracts and
+        # knobs only; the rule engine loads when a lint actually runs.
+        code = (
+            "import sys, repro.cli, repro.hypersparse, repro.serve.engine\n"
+            "loaded = sorted(m for m in ('repro.analysis.rules', "
+            "'repro.analysis.engine') if m in sys.modules)\n"
+            "print(','.join(loaded))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
+
 class TestOutput:
     def test_select_restricts_rules(self, capsys):
         assert lint_main(["--select", "RL006", str(FIXTURES / "repro")]) == 1
@@ -88,6 +109,6 @@ class TestOutput:
         listed = {line.split()[0] for line in out.splitlines() if line.startswith("RL")}
         assert listed == {
             "RL001", "RL002", "RL003", "RL006", "RL007", "RL008", "RL009",
-            "RL010", "RL011", "RL012", "RL013", "RL016", "RL020",
+            "RL010", "RL011", "RL012", "RL016", "RL020",
         }
         assert "allow-loop" in out

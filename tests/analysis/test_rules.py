@@ -292,57 +292,22 @@ class TestDtypeWidth:
         result = lint_paths([SRC_REPRO / "rand.py"], [rule_by_id("RL011")])
         assert result.findings == []
 
+    def test_cast_after_multiply_flagged_inside_hypersparse(self):
+        # RL011 patrols the packed-key kernels too: a multiply of
+        # unknown-width operands cast to uint64 afterwards is flagged
+        # there, while the cast-operands-first form stays silent.
+        fs = run_rule("RL011", "repro/hypersparse/bad_width.py")
+        assert len(fs) == 1
+        assert "uint64 cast applied after '*'" in fs[0].message
+        source = (FIXTURES / "repro/hypersparse/bad_width.py").read_text()
+        line = next(
+            i for i, text in enumerate(source.splitlines(), 1)
+            if "def cast_unproven" in text
+        )
+        assert fs[0].line == line + 2
+
     def test_real_tree_clean(self):
         result = lint_paths([SRC_REPRO], [rule_by_id("RL011")])
-        assert result.findings == []
-
-
-class TestOverflowProof:
-    """RL013: interval proofs over packed-key arithmetic."""
-
-    def test_provable_kernels_stay_silent(self):
-        assert run_rule("RL013", "repro/hypersparse/overflow_proof_ok.py") == []
-
-    def test_each_overflowing_kernel_flagged(self):
-        fs = run_rule("RL013", "repro/hypersparse/overflow_proof_bad.py")
-        source = (
-            FIXTURES / "repro/hypersparse/overflow_proof_bad.py"
-        ).read_text().splitlines()
-
-        def span(name):
-            start = next(
-                i for i, line in enumerate(source, 1) if f"def {name}" in line
-            )
-            rest = (
-                i for i, line in enumerate(source, 1)
-                if i > start and line.startswith("def ")
-            )
-            return range(start, next(rest, len(source) + 1))
-
-        by_fn = {
-            name: [f.message for f in fs if f.line in span(name)]
-            for name in ("pack_wraps", "shift_unbounded", "cast_unproven", "sub_wraps")
-        }
-        assert len(fs) == 4
-        assert any("can wrap" in m for m in by_fn["pack_wraps"])
-        assert any("cannot be bounded" in m for m in by_fn["shift_unbounded"])
-        assert any("uint64 cast applied after" in m for m in by_fn["cast_unproven"])
-        assert any("wrap below" in m for m in by_fn["sub_wraps"])
-
-    def test_rl011_demoted_inside_proof_scope(self):
-        # The syntactic width rule yields to the proof inside RL013's
-        # scope: pack_discharged would trip RL011's cast-after-multiply
-        # pattern, but the derived range fits int64 and both stay silent.
-        path = "repro/hypersparse/overflow_proof_ok.py"
-        assert run_rule("RL011", path) == []
-        assert run_rule("RL013", path) == []
-
-    def test_real_tree_clean(self):
-        # Acceptance: every packed-key expression in the hypersparse and
-        # d4m key kernels either proves safe or carries a justified
-        # allow-overflow anchor (there is exactly one, in coo.py, where
-        # a runtime bit-length guard supplies the bound).
-        result = lint_paths([SRC_REPRO], [rule_by_id("RL013")])
         assert result.findings == []
 
 

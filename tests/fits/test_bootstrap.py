@@ -1,4 +1,4 @@
-"""Bootstrap intervals for temporal fits."""
+"""Bootstrap confidence bounds for temporal fits."""
 
 import numpy as np
 import pytest

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hypersparse import HyperSparseMatrix
-from repro.hypersparse.coo import IPV4_SPACE, SparseVec
+from repro.hypersparse.coo import IPV4_SPACE, SparseVec, checked_shape
 
 
 class TestConstruction:
@@ -75,6 +75,38 @@ class TestConstruction:
     def test_integral_float_coordinates_accepted(self):
         m = HyperSparseMatrix(np.asarray([1.0, 2.0]), [0, 0], [1, 1], shape=(4, 4))
         assert m.nnz == 2
+
+
+class TestIndexSpace:
+    """Every shape-making path keeps ``nrows * ncols`` within 2^64 keys."""
+
+    def test_full_ipv4_plane_is_exactly_the_key_space(self):
+        assert checked_shape((IPV4_SPACE, IPV4_SPACE)) == (IPV4_SPACE, IPV4_SPACE)
+        assert checked_shape((1, 2**64)) == (1, 2**64)
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 4), (4, 0), (-1, 4), (IPV4_SPACE, IPV4_SPACE + 1), (2**64, 2)]
+    )
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValueError):
+            checked_shape(shape)
+
+    def test_mxm_output_past_the_key_space_raises(self):
+        # (2^40 x 2^20) . (2^20 x 2^40) is a 2^80-entry index space: the
+        # packed key of row 2^40-1 would wrap instead of naming it.
+        a = HyperSparseMatrix([2**40 - 1], [5], shape=(2**40, 2**20))
+        b = HyperSparseMatrix([5], [2**40 - 1], shape=(2**20, 2**40))
+        with pytest.raises(ValueError, match="2\\^64"):
+            a.mxm(b)
+
+    def test_diag_and_hierarchical_shapes_checked(self):
+        from repro.hypersparse import HierarchicalMatrix
+        from repro.hypersparse.ops import diag
+
+        with pytest.raises(ValueError):
+            diag(SparseVec([], []), 0)
+        with pytest.raises(ValueError):
+            HierarchicalMatrix(shape=(2**40, 2**40))
 
 
 class TestProtocol:
@@ -282,9 +314,9 @@ class TestStableSortBoundary:
     """The packed-sort guard at the exact 2^63/2^64 boundary.
 
     ``_stable_sorted_with_order`` packs ``(value << index_bits) | index``
-    into uint64 only when the top packed key provably fits; RL013 proves
-    the packed arithmetic and these tests pin the guard at the edge
-    where one more bit would wrap.
+    into uint64 only when the top packed key provably fits; these tests
+    pin that bit-length guard at the edge where one more bit would wrap,
+    and the overflow sanitizer (RS001) re-checks it at runtime.
     """
 
     @staticmethod

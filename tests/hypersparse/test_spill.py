@@ -6,6 +6,8 @@ out-of-core contract is *bit-identical* to the in-memory kernels, not
 merely close.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,28 @@ class TestHeaderValidation:
         p.write_bytes(RUN_MAGIC)
         with pytest.raises(ValueError, match="truncated"):
             read_run_header(p)
+
+    @pytest.mark.parametrize(
+        "nrows, ncols", [(1 << 16, 0), (0, 1 << 16), (2**33, 2**32)]
+    )
+    def test_bad_header_shape_rejected(self, tmp_path, nrows, ncols):
+        # A zero extent or an index space past 2^64 cannot be a run this
+        # code wrote: loading it must fail naming the file, never hand a
+        # matrix whose keys do not unpack to its shape.
+        keys, vals = make_run(17, 64)
+        run = write_run(tmp_path / "s.col", keys, vals, SHAPE)
+        raw = bytearray(run.path.read_bytes())
+        raw[16:RUN_HEADER_SIZE] = struct.pack("<QQ", nrows, ncols)
+        run.path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="s.col"):
+            read_run_header(run.path)
+        with pytest.raises(ValueError, match="s.col"):
+            load_run(run.path)
+
+    def test_writer_rejects_bad_shape(self, tmp_path):
+        with pytest.raises(ValueError):
+            ColumnarWriter(tmp_path / "w.col", (2**40, 2**40))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriterLifecycle:
