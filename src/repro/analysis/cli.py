@@ -9,10 +9,9 @@ With no paths, lints the ``src/repro`` tree if the working directory
 looks like a checkout, else the installed ``repro`` package itself.
 Configuration comes from the nearest ``pyproject.toml``'s
 ``[tool.repro-lint]`` table.  Every run is one cold serial pass: parse,
-per-file rules, flow graph, project rules.  ``--sarif FILE``
-additionally writes a SARIF 2.1.0 log for code-scanning upload.  Exit
-status: 0 clean, 1 findings, 2 usage/IO/config error — so CI can gate
-on it directly.
+per-file rules, flow graph, project rules.  ``--format json`` is the
+machine-readable output.  Exit status: 0 clean, 1 findings, 2
+usage/IO/config error — so CI can gate on it directly.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .report import (
     to_json,
 )
 from .rules import ALL_RULES, rule_by_id
-from .sarif import format_sarif
 
 __all__ = ["main"]
 
@@ -59,12 +57,6 @@ def _parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="findings output format",
-    )
-    p.add_argument(
-        "--sarif",
-        default=None,
-        metavar="FILE",
-        help="also write a SARIF 2.1.0 log to FILE ('-' for stdout)",
     )
     p.add_argument(
         "--list-rules",
@@ -137,17 +129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     result = lint_paths(paths, rules, config)
-
-    if args.sarif:
-        sarif_text = format_sarif(result, rules)
-        if args.sarif == "-":
-            sys.stdout.write(sarif_text)
-        else:
-            try:
-                Path(args.sarif).write_text(sarif_text)
-            except OSError as exc:
-                print(f"repro lint: cannot write SARIF log: {exc}", file=sys.stderr)
-                return 2
 
     if args.format == "json":
         print(to_json(result))

@@ -80,34 +80,6 @@ KNOBS: Tuple[Knob, ...] = (
         "repro/obs/spans.py",
     ),
     Knob(
-        "REPRO_TRACE_MEM",
-        "flag",
-        "off",
-        "add tracemalloc memory deltas to recorded spans",
-        "repro/obs/spans.py",
-    ),
-    Knob(
-        "REPRO_METRICS",
-        "flag",
-        "off",
-        "enable counters/gauges without span recording",
-        "repro/obs/metrics.py",
-    ),
-    Knob(
-        "REPRO_PROFILE",
-        "list",
-        "(empty)",
-        "comma-separated span-name globs to capture under cProfile",
-        "repro/obs/profile.py",
-    ),
-    Knob(
-        "REPRO_PROFILE_DIR",
-        "str",
-        ".",
-        "directory receiving profile-*.prof captures",
-        "repro/obs/profile.py",
-    ),
-    Knob(
         "REPRO_PROCESSES",
         "int",
         "cpu count",

@@ -27,8 +27,7 @@ Arm sanitizers for a process with the declared knob
 ``REPRO_SAN=overflow,mutate`` (read once at package import), with
 :func:`arm`/:func:`disarm`, or scoped with the :func:`sanitizers`
 context manager.  Traps are recorded, not raised: :func:`take_traps`
-drains them, and :mod:`repro.analysis.sarif` renders them into the same
-SARIF 2.1.0 log as the static findings.
+drains them, and ``repro san`` prints each one under its RSxxx rule id.
 """
 
 from .runtime import (

@@ -5,20 +5,15 @@
     repro san fig1                        # all sanitizers, report traps
     repro san fig2 --san overflow,mutate  # a subset
     repro san selftest                    # seeded faults; must all trap
-    repro san fig1 --sarif san.sarif      # machine-readable trap log
-    repro san fig1 --sarif out.sarif --merge lint.sarif
 
 Exit status: 0 when no trap fired, 1 when any did, 2 on usage errors —
 so CI can gate on a sanitized smoke run exactly like it gates on lint.
-``--merge`` folds previously written SARIF logs (typically ``repro lint
---sarif``) into the output file, producing one multi-run 2.1.0 log whose
-static findings and dynamic traps annotate the same pull request.
+Each trap prints one line led by its rule id (RS001–RS004).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
@@ -44,20 +39,6 @@ def _parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated sanitizers to arm "
         f"(default: {','.join(runtime.SANITIZER_NAMES)})",
-    )
-    p.add_argument(
-        "--sarif",
-        default=None,
-        metavar="FILE",
-        help="write traps as a SARIF 2.1.0 log to FILE",
-    )
-    p.add_argument(
-        "--merge",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="existing SARIF log(s) to merge into --sarif output "
-        "(repeatable; typically the repro-lint log)",
     )
     p.add_argument("--log2-nv", type=int, default=None, help="window size override")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -94,25 +75,6 @@ def _run_experiment(name: str, args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _write_sarif(path: str, traps: List[runtime.Trap], merge: List[str]) -> Optional[str]:
-    """Write the (optionally merged) SARIF log; returns an error or None."""
-    from ..sarif import format_merged_sarif, sanitizer_sarif
-
-    logs = [sanitizer_sarif(traps)]
-    for merge_path in merge:
-        try:
-            with open(merge_path, encoding="utf-8") as fh:
-                logs.append(json.load(fh))
-        except (OSError, ValueError) as exc:
-            return f"cannot merge SARIF log {merge_path}: {exc}"
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(format_merged_sarif(logs))
-    except OSError as exc:
-        return f"cannot write {path}: {exc}"
-    return None
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro san``; returns the process exit status."""
     args = _parser().parse_args(argv)
@@ -132,13 +94,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"repro san: {exc}", file=sys.stderr)
         return 2
-
-    if args.sarif:
-        err = _write_sarif(args.sarif, traps, args.merge)
-        if err is not None:
-            print(f"repro san: {err}", file=sys.stderr)
-            return 2
-        print(f"sarif: {len(traps)} trap(s) -> {args.sarif}")
 
     if not traps:
         print(f"repro-san: clean under {','.join(names)} ({args.experiment})")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..knobs import env_list
@@ -51,7 +51,7 @@ SANITIZER_NAMES: Tuple[str, ...] = (
     "float",
 )
 
-#: SARIF rule ids, one per sanitizer (the dynamic counterpart of RLxxx).
+#: Rule ids, one per sanitizer (the dynamic counterpart of RLxxx).
 RULE_IDS: Dict[str, str] = {
     "overflow": "RS001",
     "mutate": "RS002",
@@ -92,7 +92,7 @@ class Trap:
 
     @property
     def rule_id(self) -> str:
-        """The SARIF rule id this trap reports under."""
+        """The rule id this trap reports under (printed by :meth:`format`)."""
         return RULE_IDS[self.sanitizer]
 
     def format(self) -> str:

@@ -188,7 +188,11 @@ def _trace_main(argv: List[str]) -> int:
         )
     )
     if args.chrome:
-        n = write_chrome_trace(args.chrome, data.spans)
+        try:
+            n = write_chrome_trace(args.chrome, data.spans)
+        except OSError as exc:
+            print(f"repro trace: cannot write {args.chrome}: {exc}", file=sys.stderr)
+            return 2
         print(f"\nchrome trace: {n} events -> {args.chrome}")
     return 0
 

@@ -1,25 +1,23 @@
-"""Observability: zero-overhead tracing, metrics and profiling.
+"""Observability: zero-overhead tracing and metrics.
 
 The pipeline's cost structure — hierarchical GraphBLAS summation, D4M
 joins, 15-month temporal sweeps — is invisible without per-stage
-accounting.  This package provides it in four layers, all **no-ops
+accounting.  This package provides it in three layers, all **no-ops
 unless enabled** (the :mod:`repro.analysis.contracts` pattern):
 
-* :mod:`repro.obs.spans` — ``span()`` / ``@traced`` wall+CPU(+memory)
-  timing into a thread-local span tree (``REPRO_TRACE=1``);
+* :mod:`repro.obs.spans` — ``span()`` / ``@traced`` wall+CPU timing
+  into a thread-local span tree (``REPRO_TRACE=1``);
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
   (``packets_ingested``, ``matrix_nnz``, ``hier_sum_reductions``, ...;
-  ``REPRO_METRICS=1`` for counters without span recording);
+  :func:`enable_metrics` for counters without span recording);
 * :mod:`repro.obs.sinks` — JSON-lines traces, Chrome ``trace_event``
-  files, ASCII flame/summary tables;
-* :mod:`repro.obs.profile` — opt-in cProfile capture around any span
-  (``REPRO_PROFILE=<glob>``).
+  files, ASCII flame/summary tables.
 
-Environment flags: ``REPRO_TRACE``, ``REPRO_METRICS``,
-``REPRO_TRACE_MEM``, ``REPRO_PROFILE``, ``REPRO_PROFILE_DIR``.  CLI:
-``repro <experiment> --trace [--trace-out FILE]`` and ``repro trace
-summarize FILE``.  See ``docs/OBSERVABILITY.md`` for the span/counter
-catalogue and the overhead contract.
+Environment flag: ``REPRO_TRACE``.  CLI: ``repro <experiment> --trace
+[--trace-out FILE]`` and ``repro trace summarize FILE``.  For a
+function-level profile, run the CLI under ``python -m cProfile``.  See
+``docs/OBSERVABILITY.md`` for the span/counter catalogue and the
+overhead contract.
 """
 
 from .metrics import (
@@ -42,7 +40,6 @@ from .metrics import (
     set_gauge,
     snapshot,
 )
-from .profile import install_profile_hook, profiled
 from .sinks import (
     TraceData,
     chrome_trace,
@@ -70,9 +67,6 @@ from .spans import (
     tracing,
     tracing_enabled,
 )
-
-# Arm the opt-in cProfile hook; inert until REPRO_PROFILE names a span.
-install_profile_hook()
 
 __all__ = [
     # spans
@@ -119,7 +113,4 @@ __all__ = [
     "write_chrome_trace",
     "format_summary",
     "format_flame",
-    # profile
-    "profiled",
-    "install_profile_hook",
 ]

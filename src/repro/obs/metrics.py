@@ -14,9 +14,9 @@ Like :mod:`repro.obs.spans`, recording is a no-op unless observability is
 on: the module-level helpers (:func:`inc`, :func:`set_gauge`,
 :func:`observe`) check :func:`metrics_enabled` first and return
 immediately when off.  Metrics can be enabled *without* span recording
-(``REPRO_METRICS=1`` or :func:`enable_metrics`) — the benchmark harness
-uses that mode to total counters without perturbing timings — and are
-always enabled while tracing is on.
+(:func:`enable_metrics`) — the benchmark harness uses that mode to total
+counters without perturbing timings — and are always enabled while
+tracing is on.
 
 Metric names used across the code base are declared here as constants so
 instrumentation sites and dashboards cannot drift apart.
@@ -32,7 +32,6 @@ import json
 import threading
 from typing import Any, Dict, Union
 
-from ..analysis.knobs import env_flag
 from .spans import tracing_enabled
 
 __all__ = [
@@ -76,9 +75,7 @@ __all__ = [
     "SERVE_PUBLISH_SECONDS",
 ]
 
-_ENV_FLAG = "REPRO_METRICS"
-
-_metrics_only: bool = env_flag(_ENV_FLAG)
+_metrics_only: bool = False
 
 # -- the counter catalogue ---------------------------------------------------
 

@@ -111,7 +111,13 @@ def write_trace(
 
 
 def read_trace(path: PathLike) -> TraceData:
-    """Parse a JSON-lines trace file written by :func:`write_trace`."""
+    """Parse a JSON-lines trace file written by :func:`write_trace`.
+
+    Every malformed line — invalid JSON, a non-object event, a metric
+    event without its ``name``/``value``, an unknown event type, or a
+    header from a newer schema — raises ``ValueError`` naming
+    ``path:line``.
+    """
     data = TraceData()
     for i, line in enumerate(
         Path(path).read_text(encoding="utf-8").splitlines(), start=1
@@ -123,21 +129,33 @@ def read_trace(path: PathLike) -> TraceData:
             event = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{i}: invalid trace event: {exc}") from exc
+        if not isinstance(event, dict):
+            raise ValueError(f"{path}:{i}: trace event is not a JSON object")
         kind = event.get("type")
-        if kind == "meta":
-            data.meta = event
-        elif kind == "span":
-            data.spans.append(event)
-        elif kind == "counter":
-            data.counters[event["name"]] = event["value"]
-        elif kind == "gauge":
-            data.gauges[event["name"]] = event["value"]
-        elif kind == "histogram":
-            data.histograms[event["name"]] = {
-                k: v for k, v in event.items() if k not in ("type", "name")
-            }
-        else:
-            raise ValueError(f"{path}:{i}: unknown trace event type {kind!r}")
+        try:
+            if kind == "meta":
+                version = event.get("version")
+                if not isinstance(version, int) or version > SCHEMA_VERSION:
+                    raise ValueError(
+                        f"{path}:{i}: unsupported trace schema version "
+                        f"{version!r} (this reader understands up to "
+                        f"{SCHEMA_VERSION})"
+                    )
+                data.meta = event
+            elif kind == "span":
+                data.spans.append(event)
+            elif kind == "counter":
+                data.counters[event["name"]] = event["value"]
+            elif kind == "gauge":
+                data.gauges[event["name"]] = event["value"]
+            elif kind == "histogram":
+                data.histograms[event["name"]] = {
+                    k: v for k, v in event.items() if k not in ("type", "name")
+                }
+            else:
+                raise ValueError(f"{path}:{i}: unknown trace event type {kind!r}")
+        except KeyError as exc:
+            raise ValueError(f"{path}:{i}: {kind} event lacks {exc.args[0]}") from None
     return data
 
 

@@ -1,4 +1,4 @@
-"""Span tracing: wall/CPU/memory-scoped timing of pipeline stages.
+"""Span tracing: wall/CPU-scoped timing of pipeline stages.
 
 The paper's pipeline is a multi-stage dataflow — hierarchical GraphBLAS
 summation of thousands of sub-matrices per window, D4M associative joins,
@@ -17,10 +17,9 @@ accounting as a **zero-overhead-when-off** tracing layer, following the
   ``bench_hypersparse``-scale hierarchical sum) is pinned by
   ``benchmarks/bench_obs.py``;
 * when on, each ``with span(name, **attrs):`` block records wall time
-  (``perf_counter``), CPU time (``process_time``), an optional
-  ``tracemalloc`` memory delta (``REPRO_TRACE_MEM=1``), and its position
-  in a **thread-local span tree** — spans opened on different threads
-  never adopt each other as parents.
+  (``perf_counter``), CPU time (``process_time``) and its position in a
+  **thread-local span tree** — spans opened on different threads never
+  adopt each other as parents.
 
 Finished spans accumulate in a process-wide recorder; drain them with
 :func:`take_spans` and export via :mod:`repro.obs.sinks`.
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import wraps
@@ -59,17 +57,14 @@ __all__ = [
     "take_spans",
     "spans_recorded",
     "reset_tracing",
-    "set_profile_hook",
     "stopwatch",
     "trace_epoch",
     "TimedCall",
 ]
 
 _ENV_FLAG = "REPRO_TRACE"
-_ENV_MEM_FLAG = "REPRO_TRACE_MEM"
 
 _enabled: bool = env_flag(_ENV_FLAG)
-_trace_memory: bool = env_flag(_ENV_MEM_FLAG)
 
 #: All span start times are relative to this process-wide epoch, so traces
 #: from one run share a clock and Chrome-trace timestamps stay small.
@@ -78,11 +73,6 @@ _EPOCH: float = time.perf_counter()
 _lock = threading.Lock()
 _finished: List["Span"] = []
 _next_id: int = 0
-
-#: Optional cProfile hook installed by :mod:`repro.obs.profile`; called as
-#: ``hook(span_name) -> Optional[stopper]`` where ``stopper(span)`` runs at
-#: span exit.  Kept as an injection point so this module stays import-free.
-_profile_hook: Optional[Callable[[str], Optional[Callable[["Span"], None]]]] = None
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -108,9 +98,6 @@ class Span:
         Start time in seconds relative to :func:`trace_epoch`.
     wall_s, cpu_s:
         Elapsed wall-clock and process-CPU seconds.
-    mem_delta, mem_peak:
-        ``tracemalloc`` current-allocation delta and peak traced memory
-        (bytes) across the span; ``None`` unless ``REPRO_TRACE_MEM=1``.
     thread_id, thread_name:
         The recording thread (spans are thread-local; see module docs).
     """
@@ -123,8 +110,6 @@ class Span:
     t_start: float = 0.0
     wall_s: float = 0.0
     cpu_s: float = 0.0
-    mem_delta: Optional[int] = None
-    mem_peak: Optional[int] = None
     thread_id: int = 0
     thread_name: str = ""
 
@@ -151,10 +136,6 @@ class Span:
         }
         if self.label_attrs or self.attrs:
             out["attrs"] = {**self.label_attrs, **self.attrs}
-        if self.mem_delta is not None:
-            out["mem_delta"] = self.mem_delta
-        if self.mem_peak is not None:
-            out["mem_peak"] = self.mem_peak
         return out
 
 
@@ -196,14 +177,6 @@ def tracing(on: bool = True) -> Iterator[None]:
         _enabled = prev
 
 
-def set_profile_hook(
-    hook: Optional[Callable[[str], Optional[Callable[[Span], None]]]],
-) -> None:
-    """Install the opt-in profiler hook (see :mod:`repro.obs.profile`)."""
-    global _profile_hook
-    _profile_hook = hook
-
-
 def _alloc_id() -> int:
     global _next_id
     with _lock:
@@ -214,7 +187,7 @@ def _alloc_id() -> int:
 class _LiveSpan:
     """An open span: context manager recording on exit."""
 
-    __slots__ = ("_span", "_t0", "_c0", "_m0", "_stop_profile")
+    __slots__ = ("_span", "_t0", "_c0")
 
     def __init__(self, name: str, attrs: Dict[str, Any]):
         parent = _state.stack[-1] if _state.stack else None
@@ -229,17 +202,9 @@ class _LiveSpan:
         )
         self._t0 = 0.0
         self._c0 = 0.0
-        self._m0: Optional[int] = None
-        self._stop_profile: Optional[Callable[[Span], None]] = None
 
     def __enter__(self) -> "_LiveSpan":
         _state.stack.append(self._span)
-        if _trace_memory:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-            self._m0 = tracemalloc.get_traced_memory()[0]
-        if _profile_hook is not None:
-            self._stop_profile = _profile_hook(self._span.name)
         self._c0 = time.process_time()
         self._t0 = time.perf_counter()
         self._span.t_start = self._t0 - _EPOCH
@@ -249,12 +214,6 @@ class _LiveSpan:
         s = self._span
         s.wall_s = time.perf_counter() - self._t0
         s.cpu_s = time.process_time() - self._c0
-        if self._stop_profile is not None:
-            self._stop_profile(s)
-        if self._m0 is not None and tracemalloc.is_tracing():
-            current, peak = tracemalloc.get_traced_memory()
-            s.mem_delta = current - self._m0
-            s.mem_peak = peak
         if _state.stack and _state.stack[-1] is s:
             _state.stack.pop()
         else:  # pragma: no cover - unbalanced exit, drop without corrupting

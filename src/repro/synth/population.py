@@ -115,6 +115,10 @@ class ModelConfig:
             raise ValueError("noise_detect_prob must be in [0, 1]")
         if self.anchor_margin < 0:
             raise ValueError("anchor_margin must be non-negative")
+        # rand.hash_u64 masks the seed to 64 bits and default_rng rejects
+        # negatives, so only [0, 2^64) names one reproducible study.
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
     @property
     def n_valid(self) -> int:

@@ -55,12 +55,12 @@ class TestReaders:
             env_int("REPRO_LOG2_NV")
 
     def test_env_str_and_list(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE_DIR", raising=False)
-        assert env_str("REPRO_PROFILE_DIR", default=".") == "."
-        monkeypatch.setenv("REPRO_PROFILE_DIR", "/tmp/prof")
-        assert env_str("REPRO_PROFILE_DIR") == "/tmp/prof"
-        monkeypatch.setenv("REPRO_PROFILE", "a, b,,c")
-        assert env_list("REPRO_PROFILE") == ["a", "b", "c"]
+        monkeypatch.delenv("REPRO_MEM_BUDGET", raising=False)
+        assert env_str("REPRO_MEM_BUDGET", default="4G") == "4G"
+        monkeypatch.setenv("REPRO_MEM_BUDGET", " 512M ")
+        assert env_str("REPRO_MEM_BUDGET") == "512M"
+        monkeypatch.setenv("REPRO_SAN", "overflow, mutate,,fork")
+        assert env_list("REPRO_SAN") == ["overflow", "mutate", "fork"]
 
     def test_undeclared_name_rejected_by_readers(self, monkeypatch):
         monkeypatch.setenv("REPRO_NOT_A_KNOB", "1")

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import enable_metrics, enable_tracing, reset_metrics, reset_tracing
 from repro.obs import metrics as _metrics
-from repro.obs.profile import profiling_patterns, set_patterns
 from repro.obs.spans import tracing_enabled
 
 
@@ -15,10 +14,8 @@ def clean_obs_state():
     """Snapshot and restore the process-wide observability switches."""
     was_tracing = tracing_enabled()
     was_metrics = _metrics._metrics_only
-    patterns = profiling_patterns()
     yield
     enable_tracing(was_tracing)
     enable_metrics(was_metrics)
-    set_patterns(patterns)
     reset_tracing()
     reset_metrics()

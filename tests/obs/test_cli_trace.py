@@ -69,6 +69,21 @@ def test_trace_summarize_chrome_export(traced_run, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_trace_summarize_unwritable_chrome_path_exits_2(traced_run, tmp_path, capsys):
+    code, trace_path, _ = traced_run
+    assert code == 0
+    chrome = tmp_path / "no-such-dir" / "chrome.json"
+    assert main(["trace", "summarize", str(trace_path), "--chrome", str(chrome)]) == 2
+    assert "repro trace: cannot write" in capsys.readouterr().err
+
+
+def test_trace_summarize_malformed_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("[1, 2]\n")
+    assert main(["trace", "summarize", str(path)]) == 2
+    assert "bad.jsonl:1" in capsys.readouterr().err
+
+
 def test_trace_summarize_missing_file_fails(capsys):
     assert main(["trace", "summarize", "does-not-exist.jsonl"]) != 0
     capsys.readouterr()

@@ -83,6 +83,22 @@ class TestJsonLines:
         with pytest.raises(ValueError, match="mystery"):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("[1, 2]", "not a JSON object"),
+            ('{"type": "counter", "value": 3}', "counter event lacks name"),
+            ('{"type": "gauge", "name": "ladder"}', "gauge event lacks value"),
+            ('{"type": "histogram", "count": 1}', "histogram event lacks name"),
+            ('{"type": "meta", "version": 99}', "schema version 99"),
+        ],
+    )
+    def test_malformed_event_raises_with_location(self, tmp_path, line, reason):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{{"type": "meta", "version": 1}}\n{line}\n')
+        with pytest.raises(ValueError, match=f"bad.jsonl:2: .*{reason}"):
+            read_trace(path)
+
 
 class TestChromeTrace:
     def test_complete_events_in_microseconds(self):

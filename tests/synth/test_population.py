@@ -42,6 +42,16 @@ class TestAddresses:
                 ModelConfig(n_sources=100, n_sensors=1000, sensor_block="1.0.0.0/24")
             )
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_u64_rejected(self, seed):
+        # 2^64 + 5 would alias seed 5 in hash_u64 but not in default_rng.
+        with pytest.raises(ValueError, match="seed must be in"):
+            ModelConfig(seed=seed)
+
+    def test_seed_u64_bounds_accepted(self):
+        assert ModelConfig(seed=0).seed == 0
+        assert ModelConfig(seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestBrightness:
     def test_within_zm_support(self, pop):
