@@ -13,13 +13,18 @@ aggressive without silently corrupting the science:
 * :mod:`repro.analysis.rules` — the rule catalogue: seeded randomness
   (RL001), dtype and packed-key width discipline (RL002, RL011),
   no per-entry loops in hot paths (RL003), clock reads (RL006, RL007),
-  no re-sort of canonical runs (RL008), fork safety and immutability
-  over the whole-program flow graph (RL009, RL010), the knob registry
-  (RL012), and the writer and engine lifecycles (RL016 and RL020, from
+  no re-sort of canonical runs (RL008), the knob registry (RL012), and
+  the writer and engine lifecycles (RL016 and RL020, from
   :mod:`repro.analysis.concurrency` and :mod:`repro.analysis.service`);
+  every rule checks one file at a time;
 * :mod:`repro.analysis.contracts` — runtime invariant validation of
   canonical form, off by default and switched on with
   ``REPRO_DEBUG_INVARIANTS=1``;
+* :mod:`repro.analysis.sanitize` — the runtime sanitizers RS001, RS003
+  and RS004 (``REPRO_SAN``, ``repro san``).  Immutability of the
+  canonical containers needs neither a rule nor a sanitizer: their
+  buffers are read-only from construction
+  (:class:`repro.hypersparse.coo.FrozenSlots`);
 * :mod:`repro.analysis.report` — findings formatting (aligned tables in
   the style of :mod:`repro.report.ascii_plot`);
 * ``python -m repro.analysis`` / ``repro lint`` — the CLI.

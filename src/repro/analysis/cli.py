@@ -8,8 +8,8 @@ Reached two ways::
 With no paths, lints the ``src/repro`` tree if the working directory
 looks like a checkout, else the installed ``repro`` package itself.
 Configuration comes from the nearest ``pyproject.toml``'s
-``[tool.repro-lint]`` table.  Every run is one cold serial pass: parse,
-per-file rules, flow graph, project rules.  ``--format json`` is the
+``[tool.repro-lint]`` table.  Every run is one cold serial pass: parse
+each file, then run every rule on it.  ``--format json`` is the
 machine-readable output.  Exit status: 0 clean, 1 findings, 2
 usage/IO/config error — so CI can gate on it directly.
 """

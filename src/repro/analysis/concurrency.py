@@ -1,8 +1,8 @@
 """Path-sensitive lifecycle typestate (RL016) for columnar spill writers.
 
-**RL016** (writer-lifecycle) runs the AST of every module that builds a
-:class:`repro.hypersparse.spill.ColumnarWriter` through a path-sensitive
-interpreter: each bare-bound writer must reach ``close()`` or
+**RL016** (writer-lifecycle) runs each function of every module that
+calls :class:`repro.hypersparse.spill.ColumnarWriter` through a
+path-sensitive interpreter: each bare-bound writer must reach ``close()`` or
 ``abort()`` on every path, and nothing may use it after that.
 Ownership transfers (the writer is returned, stored into a
 container/attribute, or handed to another function) end the local
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Type
 
-from .engine import Finding, ProjectRule
+from .engine import FileContext, Finding, Rule
 
-__all__ = ["WriterLifecycleRule"]
+__all__ = ["WriterLifecycleRule", "calls_named", "typestate_findings"]
 
 #: Path explosion bound for the RL016 interpreter: beyond this many
 #: simultaneous abstract paths a function is too branchy to enumerate
@@ -270,11 +269,44 @@ class _FunctionChecker:
         return sorted(self.findings)
 
 
-class WriterLifecycleRule(ProjectRule):
+def calls_named(tree: ast.AST, name: str) -> bool:
+    """True when ``tree`` calls ``name`` bare or as ``a.b.name``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        base = node.func
+        while isinstance(base, ast.Attribute):
+            base = base.value
+        if not isinstance(base, ast.Name):
+            continue  # computed callee: nothing static to say
+        func = node.func
+        if (func.attr if isinstance(func, ast.Attribute) else func.id) == name:
+            return True
+    return False
+
+
+def typestate_findings(
+    rule: Rule, ctx: FileContext, checker: Type[_FunctionChecker]
+) -> Iterator[Finding]:
+    """Run ``checker`` over every function of ``ctx``; one finding per fault."""
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for line, message in checker(node, node.name).run():
+            yield Finding(
+                path=str(ctx.path),
+                line=line,
+                col=1,
+                rule_id=rule.id,
+                message=f"in {node.name}: {message}",
+            )
+
+
+class WriterLifecycleRule(Rule):
     """RL016 — columnar writers are closed or aborted on every path.
 
-    Modules whose call sites mention ``ColumnarWriter`` are re-parsed and
-    every function body is run through :class:`_FunctionChecker`, a
+    In every ``repro`` module that calls ``ColumnarWriter``, each
+    function body runs through :class:`_FunctionChecker`, a
     path-sensitive abstract interpreter over the typestate
     ``opened -> closed``.  Branches, loops (zero-or-one abstract
     iterations), ``try``/``finally`` and early returns are enumerated
@@ -284,7 +316,7 @@ class WriterLifecycleRule(ProjectRule):
     id = "RL016"
     tag = "writer-lifecycle"
     description = "ColumnarWriter not closed or aborted on every path"
-    scope = "project-wide (flow + AST paths)"
+    scope = "modules calling `ColumnarWriter` (AST paths)"
     doc = (
         "Columnar-writer lifecycle typestate: on every path through a "
         "function, a bare `ColumnarWriter(...)` binding must reach "
@@ -295,33 +327,7 @@ class WriterLifecycleRule(ProjectRule):
         "the obligation with it; the `with` form is never tracked."
     )
 
-    def _mentions_writer(self, info) -> bool:
-        return any(
-            site.raw.rsplit(".", 1)[-1] == "ColumnarWriter"
-            for summary in info.functions.values()
-            for site in summary.calls
-        )
-
-    def check_project(self, graph) -> Iterator[Finding]:
-        """Typestate-check every module that builds a ColumnarWriter."""
-        for info in sorted(graph.modules.values(), key=lambda m: m.name):
-            if not info.name.startswith("repro"):
-                continue
-            if not self._mentions_writer(info):
-                continue
-            try:
-                tree = ast.parse(Path(info.file).read_text(encoding="utf-8"))
-            except (OSError, SyntaxError):  # pragma: no cover - parsed once already
-                continue
-            for node in ast.walk(tree):
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                checker = _FunctionChecker(node, node.name)
-                for line, message in checker.run():
-                    yield Finding(
-                        path=info.file,
-                        line=line,
-                        col=1,
-                        rule_id=self.id,
-                        message=f"in {node.name}: {message}",
-                    )
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        """Typestate-check a module that builds a ColumnarWriter."""
+        if ctx.in_package("repro") and calls_named(ctx.tree, "ColumnarWriter"):
+            yield from typestate_findings(self, ctx, _FunctionChecker)

@@ -38,9 +38,6 @@ from .knobs import env_flag
 
 __all__ = [
     "InvariantViolation",
-    "add_construct_hook",
-    "remove_construct_hook",
-    "notify_construct",
     "invariants_enabled",
     "enable_invariants",
     "debug_invariants",
@@ -61,41 +58,6 @@ _enabled: bool = env_flag(_ENV_FLAG)
 _validation_count: int = 0
 
 F = TypeVar("F", bound=Callable[..., Any])
-
-
-#: Observers invoked as ``hook(kind, obj)`` whenever a kernel object
-#: passes its construction check (kind: "matrix", "vector" or "assoc").
-#: The sanitizer runtime (:mod:`repro.analysis.sanitize.mutate`) uses
-#: this to freeze and fingerprint canonical buffers; hooks run even when
-#: invariant validation itself is disabled, and the empty-list fast path
-#: keeps unhooked construction free.
-_construct_hooks: list = []
-
-
-def add_construct_hook(hook: Callable[[str, Any], None]) -> None:
-    """Register a construction observer (idempotent)."""
-    if hook not in _construct_hooks:
-        _construct_hooks.append(hook)
-
-
-def remove_construct_hook(hook: Callable[[str, Any], None]) -> None:
-    """Unregister a construction observer (missing hooks are ignored)."""
-    try:
-        _construct_hooks.remove(hook)
-    except ValueError:
-        pass
-
-
-def notify_construct(kind: str, obj: Any) -> None:
-    """Fire the construction observers for a non-kernel publication site.
-
-    The snapshot boundary (:mod:`repro.serve.snapshot`) calls this when a
-    snapshot is frozen for publication, so sanitizer hooks observe
-    published objects exactly as they observe kernel constructions.
-    """
-    if _construct_hooks:
-        for hook in _construct_hooks:
-            hook(kind, obj)
 
 
 class InvariantViolation(AssertionError):
@@ -255,9 +217,6 @@ def check_matrix(matrix: Any) -> Any:
     if _enabled:
         validate_matrix(matrix)
         inc(INVARIANT_CHECKS)
-    if _construct_hooks:
-        for hook in _construct_hooks:
-            hook("matrix", matrix)
     return matrix
 
 
@@ -266,9 +225,6 @@ def check_vector(vec: Any) -> Any:
     if _enabled:
         validate_vector(vec)
         inc(INVARIANT_CHECKS)
-    if _construct_hooks:
-        for hook in _construct_hooks:
-            hook("vector", vec)
     return vec
 
 
@@ -277,9 +233,6 @@ def check_assoc(assoc: Any) -> Any:
     if _enabled:
         validate_assoc(assoc)
         inc(INVARIANT_CHECKS)
-    if _construct_hooks:
-        for hook in _construct_hooks:
-            hook("assoc", assoc)
     return assoc
 
 

@@ -18,10 +18,10 @@ the parts rules should not reimplement:
   every rule carrying that tag.  For decorated ``def``/``class``
   statements the comment may also sit above the decorator chain, and for
   findings inside a multi-line simple statement it may sit at (or above)
-  the statement's first line;
-* the two-pass run: per-file rules see one file at a time, while
-  :class:`ProjectRule` subclasses run after all files are parsed and
-  receive the whole-program :class:`repro.analysis.flow.FlowGraph`.
+  the statement's first line.
+
+Every rule is per-file: it sees one parsed file at a time, so a lint
+run is one pass over the tree.
 
 Rules never do I/O and never mutate the tree; the engine is pure apart
 from reading source files, so it is trivially testable and safe to run
@@ -43,7 +43,6 @@ __all__ = [
     "Finding",
     "FileContext",
     "Rule",
-    "ProjectRule",
     "LintResult",
     "lint_paths",
     "parse_contexts",
@@ -129,26 +128,6 @@ class Rule:
             rule_id=self.id,
             message=message,
         )
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules.
-
-    Project rules run after every file is parsed and receive the
-    :class:`repro.analysis.flow.FlowGraph` built over all of them, so
-    they can reason across module boundaries (call graphs, transitive
-    callees, class field sets).  Findings are still anchored at file
-    locations and still honour per-line ``# lint: allow-<tag>``
-    suppression.
-    """
-
-    def check(self, ctx: "FileContext") -> Iterator[Finding]:
-        """Per-file pass: nothing — project rules run in the project pass."""
-        return iter(())
-
-    def check_project(self, graph) -> Iterator[Finding]:
-        """Yield findings over the whole-program flow graph."""
-        raise NotImplementedError
 
 
 @dataclass
@@ -341,24 +320,12 @@ def lint_paths(
     ``[tool.repro-lint]`` table; defaults apply when omitted.
     """
     contexts, errors = parse_contexts(paths, config)
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     findings: List[Finding] = []
     for ctx in contexts:
-        for rule in file_rules:
+        for rule in rules:
             findings.extend(
                 f for f in rule.check(ctx) if not ctx.allowed(f.line, rule.tag)
             )
-    if project_rules:
-        from .flow import build_flow_graph  # deferred: flow depends on engine types
-
-        graph = build_flow_graph(contexts)
-        by_path = {str(ctx.path): ctx for ctx in contexts}
-        for rule in project_rules:
-            for f in rule.check_project(graph):
-                ctx = by_path.get(f.path)
-                if ctx is None or not ctx.allowed(f.line, rule.tag):
-                    findings.append(f)
     return LintResult(
         findings=sorted(findings),
         files_checked=len(contexts),

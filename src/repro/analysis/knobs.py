@@ -97,7 +97,7 @@ KNOBS: Tuple[Knob, ...] = (
         "REPRO_SAN",
         "list",
         "(empty)",
-        "comma-separated sanitizers to arm at import (overflow,mutate,fork,float)",
+        "comma-separated sanitizers to arm at import (overflow,fork,float)",
         "repro/analysis/sanitize/runtime.py",
     ),
     Knob(

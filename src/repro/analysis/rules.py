@@ -3,14 +3,11 @@
 Each rule encodes one of the domain invariants the reproduction's
 correctness rests on; ``docs/STATIC_ANALYSIS.md`` is the user-facing
 catalogue (its rule table is generated from the ``scope``/``doc``
-attributes here — single source of truth).  RL001–RL003, RL006–RL008
-and RL011, RL012 are pure per-file AST checks; RL009 and RL010 are
-:class:`~repro.analysis.engine.ProjectRule` subclasses reasoning over
-the whole-program :class:`~repro.analysis.flow.FlowGraph`, as are
-RL016 and RL020 (:mod:`repro.analysis.concurrency`,
-:mod:`repro.analysis.service`).  Scoping
-(which packages a rule patrols) lives here, suppression
-(``# lint: allow-<tag>``) lives in the engine.
+attributes here — single source of truth).  Every rule is a per-file
+AST check; RL016 and RL020 live in :mod:`repro.analysis.concurrency`
+and :mod:`repro.analysis.service`.  Scoping (which packages a rule
+patrols) lives here, suppression (``# lint: allow-<tag>``) lives in
+the engine.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .concurrency import WriterLifecycleRule
 from .service import EngineLifecycleRule
-from .engine import FileContext, Finding, ProjectRule, Rule
+from .engine import FileContext, Finding, Rule
 
 __all__ = [
     "UnseededRandomRule",
@@ -29,8 +26,6 @@ __all__ = [
     "WallClockRule",
     "TimerDisciplineRule",
     "ResortRule",
-    "ForkSafetyRule",
-    "ImmutabilityRule",
     "DtypeWidthRule",
     "EnvKnobRule",
     "WriterLifecycleRule",
@@ -447,231 +442,6 @@ class ResortRule(Rule):
                 )
 
 
-class ForkSafetyRule(ProjectRule):
-    """RL009 — callables submitted to the process pool must be fork-safe.
-
-    :func:`repro.parallel.pool.parallel_map` runs its worker in
-    fork-started children.  A worker (or anything it transitively calls)
-    that mutates module globals does so in the *child's* copy — the
-    parent never sees the write, which is exactly the kind of silently
-    lost state the memoization and metrics registries invite.  A worker
-    that reads a module-level resource binding (open file handle, pool,
-    RNG) inherits live OS state across the fork.  And lambdas / nested
-    functions cannot be pickled to a child at all.
-
-    The rule resolves each submission site's worker argument through
-    local aliases and ``functools.partial`` wrappers, then checks the
-    worker and its transitive callees.  Callees inside ``repro.obs`` and
-    ``repro.analysis`` are exempt: the telemetry counters and the
-    invariant-validation counter are deliberately process-local (each
-    child accounts for its own work), which is documented fork-aware
-    behaviour, not lost state.
-    """
-
-    id = "RL009"
-    tag = "fork"
-    description = "pool-submitted callable mutates globals or captures resources"
-    scope = "project-wide (flow)"
-    doc = (
-        "Fork/pool safety: a function submitted to `parallel_map` — and "
-        "everything it transitively calls — must not mutate module globals, "
-        "capture process-local resources (open handles, pools, RNG instances "
-        "stored at module level), or be unpicklable (lambdas, nested "
-        "functions).  Workers run in forked/spawned processes; a global "
-        "write there mutates a *copy* and silently diverges from the parent. "
-        " `repro.obs` and `repro.analysis` callees are exempt: their "
-        "process-local state is deliberate and fork-aware."
-    )
-
-    #: Pool entry points whose first positional argument is the worker.
-    _SUBMITTERS = frozenset({"parallel_map"})
-
-    #: Dotted-module prefixes whose functions are fork-aware by design.
-    _EXEMPT_MODULES = ("repro.obs", "repro.analysis")
-
-    def _worker_offenses(self, graph, worker_key: str) -> List[str]:
-        offenses: List[str] = []
-        keys = [worker_key, *sorted(graph.transitive_callees(worker_key))]
-        for key in keys:
-            summary = graph.functions.get(key)
-            if summary is None or summary.module.startswith(self._EXEMPT_MODULES):
-                continue
-            info = graph.modules.get(summary.module)
-            for name, line in sorted(summary.global_writes.items()):
-                offenses.append(
-                    f"{key} writes module global {name!r} (line {line}); the "
-                    "write lands in the forked child and is lost"
-                )
-            if info is not None:
-                for name in sorted(summary.global_reads & set(info.resources)):
-                    kind, line = info.resources[name]
-                    offenses.append(
-                        f"{key} captures module-level {kind} {name!r} "
-                        f"(bound at {summary.module}:{line}); live OS state "
-                        "must not be inherited across fork"
-                    )
-        return offenses
-
-    def check_project(self, graph) -> Iterator[Finding]:
-        """Check every pool submission site's worker for fork hazards."""
-        for summary in graph.functions.values():
-            if summary.module == "repro.parallel.pool":
-                continue  # the pool's own plumbing passes workers through
-            if not summary.module.startswith("repro"):
-                continue
-            for site in summary.calls:
-                resolved = graph.resolve_call(summary, site.raw)
-                last = site.raw.rsplit(".", 1)[-1]
-                is_submit = last in self._SUBMITTERS and (
-                    resolved is None
-                    or resolved.startswith("repro.parallel.pool:")
-                    or resolved.rpartition(":")[2] in self._SUBMITTERS
-                )
-                if not is_submit or not site.args:
-                    continue
-                path = graph.file_of(summary.key)
-                worker_desc = site.args[0]
-                if worker_desc is None:
-                    continue  # computed callable: nothing static to say
-                worker = graph.resolve_call(summary, worker_desc)
-                if worker in ("<lambda>", "<nested>"):
-                    kind = "lambda" if worker == "<lambda>" else "nested function"
-                    yield Finding(
-                        path=path,
-                        line=site.lineno,
-                        col=site.col,
-                        rule_id=self.id,
-                        message=(
-                            f"worker {worker_desc!r} is a {kind}, which cannot "
-                            "be pickled into a pool child; use a module-level "
-                            "function (functools.partial for bound arguments)"
-                        ),
-                    )
-                    continue
-                if worker is None or worker not in graph.functions:
-                    continue
-                for offense in self._worker_offenses(graph, worker):
-                    yield Finding(
-                        path=path,
-                        line=site.lineno,
-                        col=site.col,
-                        rule_id=self.id,
-                        message=(
-                            f"worker {worker_desc!r} is not fork-safe: "
-                            f"{offense}; return results instead of mutating "
-                            "shared state, or mark '# lint: allow-fork' with "
-                            "a justification"
-                        ),
-                    )
-
-
-class ImmutabilityRule(ProjectRule):
-    """RL010 — no in-place mutation of canonical matrix fields.
-
-    :class:`~repro.hypersparse.coo.HyperSparseMatrix`,
-    :class:`~repro.hypersparse.coo.SparseVec` and
-    :class:`~repro.d4m.assoc.Assoc` are immutable after construction —
-    the sorted-merge kernels and the lazily cached packed keys both rest
-    on it.  The sanctioned way to produce a modified instance is the
-    ``cls.__new__(cls)`` constructor idiom (``_with_vals`` /
-    ``_from_canonical`` and friends), where a freshly created object's
-    fields are assigned exactly once.
-
-    The rule therefore distinguishes mutation shapes project-wide:
-
-    * *in-place* mutation of a protected field — ``m.vals.sort()``,
-      ``m.vals[i] = x``, ``m.vals += 1`` — is flagged everywhere,
-      including inside the owning class (a constructor that must scribble
-      on a freshly copied array carries ``# lint: allow-mutate``);
-    * *rebinding* a protected field (``obj.vals = ...``) is flagged
-      unless the receiver is a local bound from ``Cls.__new__(...)`` in
-      the same function, or is ``self``/``cls`` (a class managing its own
-      storage, e.g. the lazy key cache);
-    * ``self.<field>`` mutations inside unrelated classes that happen to
-      reuse a protected field name for their *own* slot are exempt.
-    """
-
-    id = "RL010"
-    tag = "mutate"
-    description = "in-place mutation of canonical HyperSparseMatrix/SparseVec/Assoc fields"
-    scope = "project-wide (flow)"
-    doc = (
-        "Immutability of canonical containers: fields of "
-        "`HyperSparseMatrix`, `SparseVec`, and `Assoc` instances must not be "
-        "mutated after construction — no `x.vals.sort()`, "
-        "`m._rows[i] = ...`, `m.vals += ...`, or rebinding of slot "
-        "attributes from outside.  Sanctioned sites: `__init__`/"
-        "`__new__`-style construction (`cls.__new__(cls)` locals) and a "
-        "class's own methods writing `self.*` own-storage (e.g. a lazy "
-        "cache).  Everything else copies; see "
-        "[PERFORMANCE.md](PERFORMANCE.md) for why canonical runs must stay "
-        "frozen."
-    )
-
-    _PROTECTED_CLASSES = ("HyperSparseMatrix", "SparseVec", "Assoc")
-    #: Field names too generic to patrol (every class has a shape).
-    _IGNORED_FIELDS = frozenset({"shape", "T", "nnz", "is_string_valued"})
-
-    def _protected_fields(self, graph) -> Set[str]:
-        fields: Set[str] = set()
-        for name in self._PROTECTED_CLASSES:
-            for cls in graph.classes_named(name):
-                fields |= cls.fields
-        return fields - self._IGNORED_FIELDS
-
-    def check_project(self, graph) -> Iterator[Finding]:
-        """Flag mutations of protected fields across the whole project."""
-        from .flow import ARRAY_MUTATORS
-
-        protected = self._protected_fields(graph)
-        if not protected:
-            return
-        for summary in graph.functions.values():
-            info = graph.modules.get(summary.module)
-            if info is None or not info.path.startswith("repro/"):
-                continue
-            in_protected_class = summary.cls in self._PROTECTED_CLASSES
-            for mut in summary.mutations:
-                parts = mut.target.split(".")
-                base, attrs = parts[0], parts[1:]
-                if not any(a in protected for a in attrs):
-                    continue
-                own_storage = base in ("self", "cls")
-                if mut.kind == "attr-assign":
-                    # Rebinding: sanctioned on fresh __new__ locals and on
-                    # the object's own storage.
-                    if base in summary.new_locals or own_storage:
-                        continue
-                    verb = f"rebinds field {'.'.join(attrs)!r} of {base!r}"
-                elif mut.kind.startswith("call:"):
-                    method = mut.kind.partition(":")[2]
-                    if method not in ARRAY_MUTATORS:
-                        continue  # container methods: not canonical arrays
-                    if own_storage and not in_protected_class:
-                        continue  # unrelated class mutating its own slot
-                    verb = f"calls in-place {method}() on {mut.target!r}"
-                else:  # subscript-assign / augassign
-                    if own_storage and not in_protected_class:
-                        continue
-                    what = (
-                        "augmented-assigns" if mut.kind == "augassign" else "writes elements of"
-                    )
-                    verb = f"{what} {mut.target!r}"
-                yield Finding(
-                    path=info.file,
-                    line=mut.lineno,
-                    col=mut.col,
-                    rule_id=self.id,
-                    message=(
-                        f"{summary.key} {verb}: canonical matrix data is "
-                        "immutable after construction; copy the array first "
-                        "or build a new instance via the cls.__new__ "
-                        "constructor helpers, or mark '# lint: allow-mutate' "
-                        "at a sanctioned constructor site"
-                    ),
-                )
-
-
 #: Explicitly narrowed dtypes: arithmetic at these widths silently
 #: wraps/truncates packed 64-bit keys.
 _NARROW_DTYPES = frozenset(
@@ -987,8 +757,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     TimerDisciplineRule(),
     ResortRule(),
-    ForkSafetyRule(),
-    ImmutabilityRule(),
     DtypeWidthRule(),
     EnvKnobRule(),
     WriterLifecycleRule(),

@@ -10,11 +10,6 @@ at runtime by arming cheap dynamic checks around the same invariants:
     true maximum in exact Python ints — cross-validating rule RL011 and
     the index-space check every matrix shape passes — and arms
     ``np.seterr`` for floating overflow.
-``mutate`` (RS002)
-    writes to canonical buffers after construction.  Buffers are frozen
-    (``writeable=False``) and fingerprinted when a kernel object or a
-    published engine snapshot (:mod:`repro.serve`) is built;
-    :func:`verify_frozen` re-hashes them on demand.
 ``fork`` (RS003)
     worker-side mutation of inputs submitted to the process pool, which
     fork semantics silently discard.  Each submission is fingerprinted
@@ -24,7 +19,7 @@ at runtime by arming cheap dynamic checks around the same invariants:
     floating-point operations trapped via ``np.seterr``.
 
 Arm sanitizers for a process with the declared knob
-``REPRO_SAN=overflow,mutate`` (read once at package import), with
+``REPRO_SAN=overflow,fork`` (read once at package import), with
 :func:`arm`/:func:`disarm`, or scoped with the :func:`sanitizers`
 context manager.  Traps are recorded, not raised: :func:`take_traps`
 drains them, and ``repro san`` prints each one under its RSxxx rule id.

@@ -4,9 +4,8 @@ Under the fork start method a pool worker operates on a copy-on-write
 snapshot: anything it writes into its input is silently thrown away when
 the task returns.  Code that "works" only because a worker mutated its
 argument is therefore a latent bug — it breaks the moment the map runs
-serially, or appears to work in the parent for the wrong reason.  Rule
-RL009 proves pool-submitted functions *look* pure; this sanitizer checks
-they *are*: every item submitted through
+serially, or appears to work in the parent for the wrong reason.  This
+sanitizer checks that workers are pure: every item submitted through
 :func:`repro.parallel.pool.parallel_map` is content-fingerprinted in the
 parent before dispatch, re-fingerprinted by the worker after the task
 body runs (the hash rides back alongside the result), and a mismatch is

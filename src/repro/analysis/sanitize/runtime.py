@@ -10,8 +10,7 @@ sanitizer, message, and source location) are collapsed into one record
 with a count so a trap inside a hot loop cannot flood the log.
 
 The module holds no NumPy or kernel imports of its own; the concrete
-sanitizers (:mod:`.overflow`, :mod:`.mutate`, :mod:`.fork`,
-:mod:`.floats`) import their targets lazily at arm time, keeping
+sanitizers (:mod:`.overflow`, :mod:`.fork`, :mod:`.floats`) import their targets lazily at arm time, keeping
 ``import repro`` cost unchanged when no sanitizer is requested.
 """
 
@@ -46,7 +45,6 @@ __all__ = [
 #: must patch the pristine kernels before ``fork`` wraps the pool).
 SANITIZER_NAMES: Tuple[str, ...] = (
     "overflow",
-    "mutate",
     "fork",
     "float",
 )
@@ -54,7 +52,6 @@ SANITIZER_NAMES: Tuple[str, ...] = (
 #: Rule ids, one per sanitizer (the dynamic counterpart of RLxxx).
 RULE_IDS: Dict[str, str] = {
     "overflow": "RS001",
-    "mutate": "RS002",
     "fork": "RS003",
     "float": "RS004",
 }
@@ -175,11 +172,10 @@ def _registry() -> Dict[str, Callable[[], Callable[[], None]]]:
     Lazy so ``import repro`` never pays for sanitizer wiring; each arm
     function performs its patches and returns the matching undo.
     """
-    from . import floats, fork, mutate, overflow
+    from . import floats, fork, overflow
 
     return {
         "overflow": overflow.arm,
-        "mutate": mutate.arm,
         "fork": fork.arm,
         "float": floats.arm,
     }

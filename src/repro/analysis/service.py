@@ -10,17 +10,23 @@ forward by a positive constant.
 
 Snapshot immutability needs no rule: an
 :class:`~repro.serve.snapshot.EngineSnapshot` freezes its buffers on
-construction, and the ``mutate`` sanitizer (RS002) fingerprints them.
+construction, so a write into one raises at the write.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Iterator, List, Optional
 
-from .concurrency import _Env, _FunctionChecker, _Path, _SegState
-from .engine import Finding, ProjectRule
+from .concurrency import (
+    _Env,
+    _FunctionChecker,
+    _Path,
+    _SegState,
+    calls_named,
+    typestate_findings,
+)
+from .engine import FileContext, Finding, Rule
 
 __all__ = ["EngineLifecycleRule"]
 
@@ -167,11 +173,11 @@ class _EngineChecker(_FunctionChecker):
         return super()._exec_stmt(stmt, env)
 
 
-class EngineLifecycleRule(ProjectRule):
+class EngineLifecycleRule(Rule):
     """RL020 — engine/lease lifecycle obligations hold on all paths.
 
-    Modules that construct (or define) ``CorrelationEngine`` are
-    re-parsed and every function runs through :class:`_EngineChecker`:
+    In every ``repro`` module that constructs (or defines)
+    ``CorrelationEngine``, each function runs through :class:`_EngineChecker`:
     a bare-bound engine must be closed (or ownership transferred) on
     every path, every ``acquire()`` must be matched by a ``release()``
     on every path, nothing is called on a closed engine, and the
@@ -183,7 +189,7 @@ class EngineLifecycleRule(ProjectRule):
     id = "RL020"
     tag = "engine-lifecycle"
     description = "engine/snapshot-lease lifecycle violated on some path"
-    scope = "project-wide (flow + AST paths)"
+    scope = "modules defining or calling `CorrelationEngine` (AST paths)"
     doc = (
         "Engine lifecycle typestate (extends RL016's path-sensitive "
         "interpreter): every bare `CorrelationEngine(...)` binding must "
@@ -198,35 +204,13 @@ class EngineLifecycleRule(ProjectRule):
 
     _CTOR = "CorrelationEngine"
 
-    def _mentions_engine(self, info) -> bool:
-        if self._CTOR in info.classes:
-            return True  # the defining module checks its own methods
-        return any(
-            site.raw.rsplit(".", 1)[-1] == self._CTOR
-            for summary in info.functions.values()
-            for site in summary.calls
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        """Typestate-check a module that defines or builds the engine."""
+        if not ctx.in_package("repro"):
+            return
+        defines = any(
+            isinstance(stmt, ast.ClassDef) and stmt.name == self._CTOR
+            for stmt in ctx.tree.body
         )
-
-    def check_project(self, graph) -> Iterator[Finding]:
-        """Typestate-check every module that touches the engine."""
-        for info in sorted(graph.modules.values(), key=lambda m: m.name):
-            if not info.name.startswith("repro"):
-                continue
-            if not self._mentions_engine(info):
-                continue
-            try:
-                tree = ast.parse(Path(info.file).read_text(encoding="utf-8"))
-            except (OSError, SyntaxError):  # pragma: no cover - parsed already
-                continue
-            for node in ast.walk(tree):
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                checker = _EngineChecker(node, node.name)
-                for line, message in checker.run():
-                    yield Finding(
-                        path=info.file,
-                        line=line,
-                        col=1,
-                        rule_id=self.id,
-                        message=f"in {node.name}: {message}",
-                    )
+        if defines or calls_named(ctx.tree, self._CTOR):
+            yield from typestate_findings(self, ctx, _EngineChecker)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..analysis.contracts import check_assoc
 from ..hypersparse import HyperSparseMatrix
-from ..hypersparse.coo import SparseVec
+from ..hypersparse.coo import FrozenSlots, SparseVec
 from . import keys as K
 
 __all__ = ["Assoc"]
@@ -63,7 +63,7 @@ def _first_last_dedupe(
     return codes_r[sel], codes_c[sel], vals[sel]
 
 
-class Assoc:
+class Assoc(FrozenSlots):
     """Associative array with string keys and numeric or string values.
 
     Parameters
@@ -192,7 +192,7 @@ class Assoc:
         return cls(rows, col, vec.vals)
 
     def copy(self) -> "Assoc":
-        """An independent deep copy."""
+        """An independent, equally frozen deep copy."""
         return self._from_parts(
             self.row.copy(),
             self.col.copy(),
@@ -397,7 +397,7 @@ class Assoc:
     def logical(self) -> "Assoc":
         """Every entry replaced by numeric 1 — the D4M ``logical()``."""
         adj = self.adj.zero_norm()
-        return self._from_parts(self.row.copy(), self.col.copy(), None, adj)
+        return self._from_parts(self.row, self.col, None, adj)
 
     def _align_union(self, other: "Assoc"):
         """Re-code both operands into the union key space."""
@@ -413,7 +413,7 @@ class Assoc:
             if self.is_string_valued:
                 raise TypeError("cannot add a number to a string-valued Assoc")
             return self._from_parts(
-                self.row.copy(), self.col.copy(), None, self.adj.apply(lambda v: v + float(other))
+                self.row, self.col, None, self.adj.apply(lambda v: v + float(other))
             )
         if not isinstance(other, Assoc):
             return NotImplemented
@@ -434,9 +434,7 @@ class Assoc:
         if isinstance(other, (int, float, np.integer, np.floating)):
             if self.is_string_valued:
                 raise TypeError("cannot scale a string-valued Assoc")
-            return self._from_parts(
-                self.row.copy(), self.col.copy(), None, self.adj * float(other)
-            )
+            return self._from_parts(self.row, self.col, None, self.adj * float(other))
         if not isinstance(other, Assoc):
             return NotImplemented
         a, b = self._coerce_numeric_pair(other)
@@ -469,12 +467,7 @@ class Assoc:
 
     def transpose(self) -> "Assoc":
         """Swap rows and columns."""
-        return self._from_parts(
-            self.col.copy(),
-            self.row.copy(),
-            None if self.val is None else self.val.copy(),
-            self.adj.transpose(),
-        )
+        return self._from_parts(self.col, self.row, self.val, self.adj.transpose())
 
     @property
     def T(self) -> "Assoc":
@@ -503,13 +496,13 @@ class Assoc:
         """``A.T @ A`` — column-column correlation (shared rows weighted)."""
         a = self.logical() if self.is_string_valued else self
         adj = a.adj.transpose().mxm(a.adj)
-        return Assoc._from_parts(self.col.copy(), self.col.copy(), None, adj)._condensed()
+        return Assoc._from_parts(self.col, self.col, None, adj)._condensed()
 
     def sqout(self) -> "Assoc":
         """``A @ A.T`` — row-row correlation (shared columns weighted)."""
         a = self.logical() if self.is_string_valued else self
         adj = a.adj.mxm(a.adj.transpose())
-        return Assoc._from_parts(self.row.copy(), self.row.copy(), None, adj)._condensed()
+        return Assoc._from_parts(self.row, self.row, None, adj)._condensed()
 
     def matmul(self, other: "Assoc") -> "Assoc":
         """General associative-array multiply aligning on the inner key space."""
@@ -520,7 +513,7 @@ class Assoc:
         ma = _recode_matrix(a.adj, np.arange(max(a.row.size, 1), dtype=np.uint64), ca, shape_a)
         mb = _recode_matrix(b.adj, rb, np.arange(max(b.col.size, 1), dtype=np.uint64), shape_b)
         prod = ma.mxm(mb)
-        return Assoc._from_parts(a.row.copy(), b.col.copy(), None, prod)._condensed()
+        return Assoc._from_parts(a.row, b.col, None, prod)._condensed()
 
     def __matmul__(self, other: "Assoc") -> "Assoc":
         return self.matmul(other)
@@ -559,4 +552,4 @@ def _recode_matrix(
         return HyperSparseMatrix(shape=shape)
     new_r = row_codes[r.astype(np.int64)]
     new_c = col_codes[c.astype(np.int64)]
-    return HyperSparseMatrix(new_r, new_c, v.copy(), shape=shape)
+    return HyperSparseMatrix(new_r, new_c, v, shape=shape)

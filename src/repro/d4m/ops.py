@@ -76,9 +76,9 @@ def cat_values(a: Assoc, b: Assoc, separator: str = ";") -> Assoc:
     ra, ca, va = a.triples()
     rb, cb, vb = b.triples()
     if ra.size == 0:
-        return b.copy()
+        return b
     if rb.size == 0:
-        return a.copy()
+        return a
     # Join on (row, col) pairs through a composite key.  Canonical triples
     # have unique coordinate pairs, and the NUL separator cannot collide
     # with printable D4M keys, so the composites are unique.

@@ -147,9 +147,9 @@ def _chunk_matrix(
 
     The window spec (emitting addresses, cumulative counts, focus data)
     is memory-mapped from disk, so workers share pages instead of
-    receiving per-chunk copies.  Nothing module-global is written
-    (fork-safety rule RL009); destinations come from a chunk-indexed RNG
-    stream, deterministic regardless of pool width.
+    receiving per-chunk copies.  Nothing module-global is written;
+    destinations come from a chunk-indexed RNG stream, so the result is
+    bit-identical for any pool width (pinned by the ``processes`` tests).
     """
     root = Path(spec_dir)
     addresses = np.load(root / "addresses.npy", mmap_mode="r")

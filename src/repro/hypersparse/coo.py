@@ -22,6 +22,19 @@ re-sorting data that is already two canonical runs.  Matrices produced
 by those kernels carry their keys forward and delinearize rows/columns
 lazily, so merge chains (hierarchical accumulation) never round-trip
 ``(row, col) -> key -> (row, col)``.  See ``docs/PERFORMANCE.md``.
+
+Immutability is enforced by the types, not by convention.
+:class:`SparseVec`, :class:`HyperSparseMatrix` and
+:class:`~repro.d4m.assoc.Assoc` derive from :class:`FrozenSlots`, which
+stores every ndarray assigned to an attribute as a read-only view.  That
+one guard covers each construction path: the public constructors, the
+``cls.__new__`` fast paths, the lazily derived ``rows``/``cols``/``keys``,
+``copy()`` and unpickling (pickle restores slots through ``setattr``), so
+an in-place write into a canonical buffer raises ``ValueError`` wherever
+it happens.  The one hole is aliasing through a caller's base array: a
+public constructor that keeps a caller's array without copying freezes a
+*view* of it, so the caller's own array stays writeable, and a write
+through it changes the container.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ from ..obs.metrics import MERGE_FASTPATH_MISSES, inc
 from .merge import in_sorted, intersect_sorted, merge_combine
 from .semiring import PLUS_TIMES, Semiring
 
-__all__ = ["HyperSparseMatrix", "SparseVec", "IPV4_SPACE", "checked_shape"]
+__all__ = ["HyperSparseMatrix", "SparseVec", "FrozenSlots", "IPV4_SPACE", "checked_shape"]
 
 #: Size of the IPv4 address space; default matrix extent in the paper.
 IPV4_SPACE = 2**32
@@ -190,7 +203,24 @@ def _count_duplicates(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return keys[starts], counts
 
 
-class SparseVec:
+class FrozenSlots:
+    """Base of the canonical containers: every stored array is read-only.
+
+    Each writeable ndarray assigned to an attribute is stored as a
+    read-only view; arrays that are already read-only are stored as
+    they are, so derived containers share frozen buffers freely.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            value = value.view()
+            value.flags.writeable = False
+        object.__setattr__(self, name, value)
+
+
+class SparseVec(FrozenSlots):
     """A sparse vector keyed by uint64 indices.
 
     Produced by matrix row/column reductions: e.g. ``A.row_reduce()`` is the
@@ -233,11 +263,11 @@ class SparseVec:
             and np.array_equal(self.vals, other.vals)
         )
 
-    def __hash__(self):  # mutable-ish container; identity hashing is a trap
+    def __hash__(self):  # value equality without a value hash
         raise TypeError("SparseVec is unhashable")
 
     def copy(self) -> "SparseVec":
-        """An independent deep copy."""
+        """An independent, equally frozen deep copy."""
         out = SparseVec.__new__(SparseVec)
         out.keys = self.keys.copy()
         out.vals = self.vals.copy()
@@ -271,7 +301,7 @@ class SparseVec:
     def zero_norm(self) -> "SparseVec":
         """``|v|_0``: every stored value replaced by 1."""
         out = SparseVec.__new__(SparseVec)
-        out.keys = self.keys.copy()
+        out.keys = self.keys
         out.vals = np.ones_like(self.vals)
         return out
 
@@ -310,7 +340,7 @@ class SparseVec:
         if isinstance(other, SparseVec):
             return self.ewise_mult(other, np.multiply)
         out = SparseVec.__new__(SparseVec)
-        out.keys = self.keys.copy()
+        out.keys = self.keys
         out.vals = self.vals * float(other)
         return out
 
@@ -336,7 +366,7 @@ class SparseVec:
         return out
 
 
-class HyperSparseMatrix:
+class HyperSparseMatrix(FrozenSlots):
     """Hypersparse matrix in canonical sorted-COO form.
 
     Parameters
@@ -497,7 +527,7 @@ class HyperSparseMatrix:
         return cls(shape=shape)
 
     def copy(self) -> "HyperSparseMatrix":
-        """An independent deep copy (preserving whichever views are cached)."""
+        """An independent, equally frozen deep copy (same cached views)."""
         out = HyperSparseMatrix.__new__(HyperSparseMatrix)
         out._rows = None if self._rows is None else self._rows.copy()
         out._cols = None if self._cols is None else self._cols.copy()
@@ -632,7 +662,7 @@ class HyperSparseMatrix:
         cols = _as_u64(col_map(self.cols))
         if rows.shape != self.rows.shape or cols.shape != self.cols.shape:
             raise ValueError("permutation maps must preserve entry count")
-        return HyperSparseMatrix(rows, cols, self.vals.copy(), shape=self.shape)
+        return HyperSparseMatrix(rows, cols, self.vals, shape=self.shape)
 
     # -- element-wise algebra ---------------------------------------------------
 

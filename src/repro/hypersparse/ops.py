@@ -148,9 +148,7 @@ def diag(vec: SparseVec, n: int) -> HyperSparseMatrix:
     shape = checked_shape((n, n))
     if vec.nnz and int(vec.keys.max()) >= n:
         raise ValueError("vector key outside diagonal extent")
-    return HyperSparseMatrix._from_canonical(
-        vec.keys.copy(), vec.keys.copy(), vec.vals.copy(), shape
-    )
+    return HyperSparseMatrix._from_canonical(vec.keys, vec.keys, vec.vals, shape)
 
 
 @checked("vector")
@@ -158,8 +156,8 @@ def diag_extract(matrix: HyperSparseMatrix) -> SparseVec:
     """The stored diagonal entries of a matrix as a sparse vector."""
     on_diag = matrix.rows == matrix.cols
     out = SparseVec.__new__(SparseVec)
-    out.keys = matrix.rows[on_diag].copy()
-    out.vals = matrix.vals[on_diag].copy()
+    out.keys = matrix.rows[on_diag]
+    out.vals = matrix.vals[on_diag]
     return out
 
 

@@ -97,8 +97,9 @@ def _archive_group_sum(
 ) -> HyperSparseMatrix:
     """Worker: sum one group of consecutive archived windows.
 
-    Opens its own archive handle — workers share nothing writable
-    (fork-safety rule RL009) — and memory-maps the windows it folds.
+    Opens its own archive handle — workers share nothing writable, and
+    the ``fork`` sanitizer (RS003) checks that no input is written — and
+    memory-maps the windows it folds.
     """
     from ..traffic.archive import WindowArchive
 

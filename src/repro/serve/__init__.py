@@ -16,8 +16,8 @@ Layers:
   writer/readers driver.
 
 The lease discipline is gated statically by RL020, and published
-snapshots are fingerprinted at runtime by the ``mutate`` sanitizer
-(RS002); see ``docs/STREAMING.md``.
+snapshots are read-only from construction, like the hypersparse and
+D4M containers they summarize; see ``docs/STREAMING.md``.
 """
 
 from .engine import CorrelationEngine

@@ -35,9 +35,8 @@ Snapshots freeze themselves on construction
 (:func:`~repro.serve.snapshot.freeze_snapshot`), so arbitrarily many
 readers can share one without copies.  RL020 gates the lease discipline
 statically (acquire/release balance, epoch monotonicity, no
-fold/query-after-close); at runtime an over-release raises, and the
-``mutate`` sanitizer (RS002) fingerprints published snapshots like any
-other frozen object.
+fold/query-after-close); at runtime an over-release raises, and a
+write into a published buffer raises ``ValueError`` at the write.
 """
 
 from __future__ import annotations

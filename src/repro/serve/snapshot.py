@@ -6,10 +6,8 @@ aggregates, per-window degree distributions, the coeval-correlation
 curve over folded honeyfarm months, and the modified-Cauchy fit of that
 curve.  A snapshot freezes itself: constructing an
 :class:`EngineSnapshot` runs :func:`freeze_snapshot`, which marks every
-ndarray the snapshot reaches read-only and notifies the construction
-observers (:func:`repro.analysis.contracts.notify_construct`), so no
-writable snapshot can exist and the ``mutate`` sanitizer (RS002) can
-fingerprint its canonical buffers like any other frozen object.
+ndarray the snapshot reaches read-only, so no writable snapshot can
+exist.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from ..analysis.contracts import notify_construct
 from ..core.correlation import DegreeBin, PeakBinResult, PeakCorrelation
 from ..fits.fitting import FitResult
 from ..stats.binning import BinnedDistribution
@@ -108,9 +105,7 @@ class EngineSnapshot:
 def snapshot_buffers(snap: EngineSnapshot) -> Iterator[np.ndarray]:
     """Yield every canonical ndarray reachable from ``snap``.
 
-    This is the buffer set :func:`freeze_snapshot` marks read-only and
-    the ``mutate`` sanitizer (RS002) fingerprints; keep the two in
-    lockstep by routing both through this function.
+    This is the buffer set :func:`freeze_snapshot` marks read-only.
     """
     yield snap.window_index
     yield snap.window_start
@@ -124,17 +119,13 @@ def snapshot_buffers(snap: EngineSnapshot) -> Iterator[np.ndarray]:
 
 
 def freeze_snapshot(snap: EngineSnapshot) -> EngineSnapshot:
-    """Freeze ``snap`` and notify construction observers.
+    """Freeze ``snap``: every canonical buffer is made read-only in place.
 
-    Every canonical buffer is made read-only in place (later writes
-    raise), then the contracts construct hooks observe the snapshot
-    under kind ``"snapshot"`` so armed sanitizers can fingerprint it.
-    :class:`EngineSnapshot` calls this on construction; returns the
-    same object.
+    Later writes raise ``ValueError``.  :class:`EngineSnapshot` calls
+    this on construction; returns the same object.
     """
     for arr in snapshot_buffers(snap):
         arr.flags.writeable = False
-    notify_construct("snapshot", snap)
     return snap
 
 

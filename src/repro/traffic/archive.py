@@ -33,6 +33,7 @@ carries its own storage tag.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -129,7 +130,14 @@ class WindowArchive:
     # -- manifest ----------------------------------------------------------
 
     def _load_manifest(self) -> None:
-        data = json.loads((self.root / _MANIFEST).read_text(encoding="utf-8"))
+        """Read the manifest; every malformed one raises naming its path."""
+        path = self.root / _MANIFEST
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"archive manifest {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"archive manifest {path} is not a JSON object")
         fmt = data.get("format", _FORMATS[0])
         if fmt not in _FORMATS:
             raise ValueError(
@@ -141,18 +149,38 @@ class WindowArchive:
                 f"archive window size {data.get('n_valid')} differs from "
                 f"requested {self.n_valid}"
             )
-        self._records = [WindowRecord(**rec) for rec in data["windows"]]
+        if "windows" not in data:
+            raise ValueError(f"archive manifest {path} has no 'windows' list")
+        try:
+            self._records = [WindowRecord(**rec) for rec in data["windows"]]
+        except TypeError as exc:
+            raise ValueError(
+                f"archive manifest {path} has a bad window record: {exc}"
+            ) from exc
 
     def _save_manifest(self) -> None:
+        """Publish the manifest atomically: temp file, fsync, replace.
+
+        A crash mid-write leaves the previous manifest, and with it every
+        window it lists, loadable.
+        """
         data = {
             "format": _FORMATS[-1],
             "n_valid": self.n_valid,
             "anonymized": self.anonymizer is not None,
             "windows": [vars(r) for r in self._records],
         }
-        (self.root / _MANIFEST).write_text(
-            json.dumps(data, indent=1), encoding="utf-8"
-        )
+        path = self.root / _MANIFEST
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                fh.write(json.dumps(data, indent=1))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     # -- writing -----------------------------------------------------------
 

@@ -116,5 +116,5 @@ def link_packets(matrix: HyperSparseMatrix) -> SparseVec:
     keys = matrix.rows * np.uint64(matrix.shape[1]) + matrix.cols
     vec = SparseVec.__new__(SparseVec)
     vec.keys = keys
-    vec.vals = matrix.vals.copy()
+    vec.vals = matrix.vals
     return vec

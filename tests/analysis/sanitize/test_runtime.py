@@ -68,8 +68,8 @@ class TestTrapLog:
         assert "(x5)" in trap.format()
 
     def test_distinct_sites_stay_distinct(self):
-        record_trap("mutate", "drift", site=("a.py", 1))
-        record_trap("mutate", "drift", site=("b.py", 1))
+        record_trap("fork", "drift", site=("a.py", 1))
+        record_trap("fork", "drift", site=("b.py", 1))
         assert len(take_traps()) == 2
 
     def test_trap_flood_is_bounded(self):
@@ -89,11 +89,9 @@ class TestTrapLog:
 
 class TestArming:
     def test_arm_disarm_roundtrip_restores_bindings(self):
-        from repro.analysis import contracts
         from repro.hypersparse import coo
 
         err, errcall = np.geterr(), np.geterrcall()
-        hooks = list(contracts._construct_hooks)
         original = coo._pack_keys
         arm(["overflow"])
         assert armed() == ("overflow",)
@@ -121,12 +119,11 @@ class TestArming:
         assert residue == []
         assert np.geterr() == err
         assert np.geterrcall() is errcall
-        assert contracts._construct_hooks == hooks
 
     def test_arm_is_idempotent(self):
-        arm(["mutate"])
-        arm(["mutate"])
-        assert armed() == ("mutate",)
+        arm(["fork"])
+        arm(["fork"])
+        assert armed() == ("fork",)
 
     def test_canonical_order_regardless_of_request_order(self):
         arm(["float", "overflow"])
@@ -150,9 +147,9 @@ class TestArming:
 
 class TestBootstrap:
     def test_bootstrap_reads_the_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAN", "overflow, mutate")
+        monkeypatch.setenv("REPRO_SAN", "overflow, fork")
         runtime.bootstrap()
-        assert armed() == ("overflow", "mutate")
+        assert armed() == ("overflow", "fork")
 
     def test_bootstrap_noop_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_SAN", raising=False)
@@ -162,6 +159,13 @@ class TestBootstrap:
     def test_bootstrap_rejects_bad_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_SAN", "overflow,typo")
         with pytest.raises(ValueError, match="typo"):
+            runtime.bootstrap()
+
+    def test_bootstrap_rejects_retired_mutate(self, monkeypatch):
+        # Canonical containers freeze themselves, so there is no mutate
+        # sanitizer left to arm; asking for it must fail, not no-op.
+        monkeypatch.setenv("REPRO_SAN", "mutate")
+        with pytest.raises(ValueError, match="unknown sanitizer.*mutate"):
             runtime.bootstrap()
 
 

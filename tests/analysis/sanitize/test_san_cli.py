@@ -20,7 +20,7 @@ class TestSelftest:
         code = main(["selftest"])
         out = capsys.readouterr().out
         assert code == 1  # seeded violations must be found
-        for rule_id in ("RS001", "RS002", "RS003", "RS004"):
+        for rule_id in ("RS001", "RS003", "RS004"):
             assert rule_id in out, f"selftest missed {rule_id}"
 
     def test_quiet_selftest_still_prints_every_trap(self, capsys):
@@ -29,7 +29,7 @@ class TestSelftest:
         code = main(["selftest", "-q"])
         out = capsys.readouterr().out
         assert code == 1
-        for rule_id in ("RS001", "RS002", "RS003", "RS004"):
+        for rule_id in ("RS001", "RS003", "RS004"):
             assert rule_id in out, f"quiet selftest hid {rule_id}"
 
     def test_selftest_subset_only_arms_requested(self, capsys):

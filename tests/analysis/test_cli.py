@@ -108,7 +108,7 @@ class TestOutput:
         out = capsys.readouterr().out
         listed = {line.split()[0] for line in out.splitlines() if line.startswith("RL")}
         assert listed == {
-            "RL001", "RL002", "RL003", "RL006", "RL007", "RL008", "RL009",
-            "RL010", "RL011", "RL012", "RL016", "RL020",
+            "RL001", "RL002", "RL003", "RL006", "RL007", "RL008",
+            "RL011", "RL012", "RL016", "RL020",
         }
         assert "allow-loop" in out

@@ -59,8 +59,8 @@ class TestReaders:
         assert env_str("REPRO_MEM_BUDGET", default="4G") == "4G"
         monkeypatch.setenv("REPRO_MEM_BUDGET", " 512M ")
         assert env_str("REPRO_MEM_BUDGET") == "512M"
-        monkeypatch.setenv("REPRO_SAN", "overflow, mutate,,fork")
-        assert env_list("REPRO_SAN") == ["overflow", "mutate", "fork"]
+        monkeypatch.setenv("REPRO_SAN", "overflow, float,,fork")
+        assert env_list("REPRO_SAN") == ["overflow", "float", "fork"]
 
     def test_undeclared_name_rejected_by_readers(self, monkeypatch):
         monkeypatch.setenv("REPRO_NOT_A_KNOB", "1")

@@ -185,78 +185,6 @@ class TestResort:
         assert result.findings == []
 
 
-class TestForkSafety:
-    FILES = ("repro/parallel/pool.py", "repro/parallel/bad_fork.py")
-
-    def findings(self):
-        return run_rule("RL009", *self.FILES)
-
-    def test_direct_global_write_flagged(self):
-        assert any(
-            "_caching_worker" in f.message and "_CACHE" in f.message
-            for f in self.findings()
-        )
-
-    def test_transitive_write_through_partial_flagged(self):
-        # worker = partial(_appending_worker, ...) -> _bump -> _COUNTS
-        assert any(
-            "_bump" in f.message and "_COUNTS" in f.message for f in self.findings()
-        )
-
-    def test_resource_capture_flagged(self):
-        assert any(
-            "_logging_worker" in f.message and "handle" in f.message
-            for f in self.findings()
-        )
-
-    def test_lambda_and_nested_def_flagged(self):
-        msgs = [f.message for f in self.findings()]
-        assert any("lambda" in m and "pickled" in m for m in msgs)
-        assert any("nested function" in m for m in msgs)
-
-    def test_pure_worker_and_allowlist_clean(self):
-        # Exactly the five documented hazards fire; the pure worker, the
-        # partial over it, and the allowlisted site stay silent.
-        assert len(self.findings()) == 5
-
-    def test_findings_anchor_at_submission_site(self):
-        source = (FIXTURES / "repro/parallel/bad_fork.py").read_text().splitlines()
-        for f in self.findings():
-            assert "parallel_map" in source[f.line - 1]
-
-    def test_real_tree_clean(self):
-        result = lint_paths([SRC_REPRO], [rule_by_id("RL009")])
-        assert result.findings == []
-
-
-class TestImmutability:
-    def findings(self):
-        return run_rule("RL010", "repro/hypersparse/bad_mutate.py")
-
-    def test_all_mutation_shapes_flagged(self):
-        msgs = [f.message for f in self.findings()]
-        assert any("in-place sort()" in m for m in msgs)
-        assert any("writes elements" in m for m in msgs)
-        assert any("augmented-assigns" in m for m in msgs)
-        assert any("rebinds field" in m for m in msgs)
-
-    def test_inplace_flagged_even_inside_owning_class(self):
-        assert any("corrupt" in f.message for f in self.findings())
-
-    def test_new_constructor_idiom_and_own_storage_clean(self):
-        # __init__, the lazy-cache property, Shadow's own slot, and the
-        # __new__ construction helper are all sanctioned: only the five
-        # deliberate violations (one allowlisted) remain.
-        assert len(self.findings()) == 5
-
-    def test_unrelated_class_with_shadowed_field_name_clean(self):
-        assert all("Shadow" not in f.message for f in self.findings())
-
-    def test_real_tree_clean(self):
-        result = lint_paths([SRC_REPRO], [rule_by_id("RL010")])
-        assert result.findings == []
-
-
 class TestDtypeWidth:
     def findings(self):
         return run_rule("RL011", "repro/traffic/bad_width.py")

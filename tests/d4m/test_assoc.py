@@ -100,10 +100,15 @@ class TestProtocol:
         assert a.get("missing", "c", 0.0) == 0.0
 
     def test_copy_independent(self):
-        a = Assoc(["r"], ["c"], [1.0])
+        a = Assoc(["r"], ["c"], ["v"])
         b = a.copy()
-        b.adj.vals[0] = 99.0
-        assert a.get("r", "c") == 1.0
+        assert b == a
+        pairs = [(a.row, b.row), (a.col, b.col), (a.val, b.val), (a.adj.vals, b.adj.vals)]
+        for ours, theirs in pairs:
+            assert not np.shares_memory(ours, theirs)
+            for arr in (ours, theirs):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[0]
 
     def test_unhashable(self):
         with pytest.raises(TypeError):

@@ -129,9 +129,14 @@ class TestProtocol:
 
     def test_copy_is_independent(self):
         a = HyperSparseMatrix([1], [1], [5.0], shape=(4, 4))
+        a.rows  # materialize the lazy views so copy() carries them too
         b = a.copy()
-        b.vals[0] = 99.0
-        assert a[1, 1] == 5.0
+        assert b == a
+        for name in ("_rows", "_cols", "_keys", "vals"):
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+            for side in (a, b):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(side, name)[0] = 0
 
     def test_find_returns_canonical_triples(self):
         m = HyperSparseMatrix([3, 1], [0, 2], [7, 8], shape=(4, 4))

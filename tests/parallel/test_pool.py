@@ -90,9 +90,10 @@ def test_parallel_matches_serial(rng):
 
 def test_workers_can_return_matrices(rng):
     matrices = matrices_of(rng, count=4)
-    assert_bit_identical(
-        parallel_map(roundtrip, matrices, processes=2, min_parallel=1), matrices
-    )
+    out = parallel_map(roundtrip, matrices, processes=2, min_parallel=1)
+    assert_bit_identical(out, matrices)
+    # Unpickled in the parent, the results are as read-only as the inputs.
+    assert not any(m.keys.flags.writeable or m.vals.flags.writeable for m in out)
 
 
 def test_derived_results_bit_identical_to_serial(rng):

@@ -7,14 +7,14 @@ import sys
 
 import pytest
 
-from repro.analysis.sanitize.runtime import sanitizers, take_traps
+from repro.analysis.sanitize.runtime import take_traps
 from repro.serve import load_snapshot, snapshot_buffers
 from repro.serve.cli import main
 
 
 @pytest.fixture(scope="class")
 def smoke(tmp_path_factory):
-    """One smoke run under the mutate sanitizer: (exit code, stdout, archive).
+    """One unarmed smoke run: (exit code, stdout, archive).
 
     A short switch interval makes the writer and the four readers
     interleave far more often than the default 5 ms slices would.
@@ -25,7 +25,7 @@ def smoke(tmp_path_factory):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with sanitizers(["mutate"]), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out):
             code = main(["smoke", "--batches", "16", "--readers", "4", "--save", str(path)])
     finally:
         sys.setswitchinterval(interval)

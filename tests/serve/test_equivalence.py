@@ -8,8 +8,8 @@ overlap curve and Fig 4 correlation must be the batch
 ``temporal_correlation`` / ``peak_correlation`` of the last window.  Streams
 are seeded through :mod:`repro.rand` so each Hypothesis case is
 reconstructible from its integers alone, and the whole property is
-re-run with debug invariants and the mutate sanitizer armed, which
-fingerprints every published snapshot (any trap fails the test).
+re-run with debug invariants and every sanitizer armed (any trap fails
+the test).  Published snapshots are read-only without any sanitizer.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.contracts import debug_invariants
-from repro.analysis.sanitize.runtime import sanitizers, take_traps
+from repro.analysis.sanitize.runtime import SANITIZER_NAMES, sanitizers, take_traps
 from repro.core import peak_correlation, temporal_correlation
 from repro.rand import hash_u64, hash_uniform
 from repro.serve import CorrelationEngine
@@ -109,7 +109,7 @@ class TestStreamingEqualsBatch:
     def test_identical_under_invariants_and_sanitizers(self):
         packets = seeded_stream(99, 600)
         with debug_invariants():
-            with sanitizers(["mutate"]):
+            with sanitizers(SANITIZER_NAMES):
                 with CorrelationEngine(128, cutoff=1 << 8) as engine:
                     fold_in_batches(engine, packets, [250, 99, 251])
                     snap = engine.acquire()

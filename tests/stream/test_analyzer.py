@@ -90,16 +90,8 @@ class TestLifecycle:
 
 
 def retained_after_100_windows(keep):
-    """Bytes the fold still holds after 100 windows (tracemalloc).
-
-    Allocations made inside the mutate sanitizer's construction hook are
-    its own bookkeeping, plus interpreter free lists it churns; they are
-    left out, so the number is the same armed or not.  Buffers the hook
-    kept alive would still count: the kernels allocated them.
-    """
+    """Bytes the fold still holds after 100 windows (tracemalloc)."""
     import tracemalloc
-
-    from repro.analysis.sanitize import mutate
 
     rng = np.random.default_rng(7)
     batches = [stream(500, rng) for _ in range(20)]  # 100 windows
@@ -111,8 +103,7 @@ def retained_after_100_windows(keep):
     assert len(windows) == 100
     snapshot = tracemalloc.take_snapshot()
     tracemalloc.stop()
-    hook = tracemalloc.Filter(False, mutate.__file__, all_frames=True)
-    return sum(t.size for t in snapshot.filter_traces([hook]).traces)
+    return sum(t.size for t in snapshot.traces)
 
 
 class TestKeepMatrices:
@@ -141,12 +132,12 @@ class TestKeepMatrices:
         dropped = retained_after_100_windows(False)
         assert dropped < kept / 4, (dropped, kept)
 
-    def test_memory_flat_with_mutate_armed(self):
-        # The mutate sanitizer tracks dropped matrices only weakly, so the
-        # measurement holds with it armed too.
-        from repro.analysis.sanitize.runtime import sanitizers
+    def test_memory_flat_with_sanitizers_armed(self):
+        # Armed sanitizers keep no reference to dropped matrices, so the
+        # measurement holds with every one of them armed too.
+        from repro.analysis.sanitize.runtime import SANITIZER_NAMES, sanitizers
 
-        with sanitizers(["mutate"]):
+        with sanitizers(SANITIZER_NAMES):
             kept = retained_after_100_windows(True)
             dropped = retained_after_100_windows(False)
         assert dropped < kept / 4, (dropped, kept)

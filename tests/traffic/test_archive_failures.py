@@ -43,8 +43,57 @@ def test_truncated_window_file(populated):
 def test_corrupted_manifest_json(populated):
     manifest = populated / "manifest.json"
     manifest.write_text(manifest.read_text()[:-20])
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(ValueError, match="manifest.json is not valid JSON"):
         WindowArchive(populated, n_valid=128)
+
+
+def test_half_written_manifest_names_the_file(populated):
+    # A torn write keeps the first half of the bytes; the error must say
+    # which file is broken rather than surface a bare decode error.
+    manifest = populated / "manifest.json"
+    data = manifest.read_bytes()
+    manifest.write_bytes(data[: len(data) // 2])
+    with pytest.raises(ValueError, match=str(manifest)):
+        WindowArchive(populated, n_valid=128)
+
+
+@pytest.mark.parametrize(
+    "payload, what",
+    [
+        ("[]", "not a JSON object"),
+        ('{"n_valid": 128}', "no 'windows' list"),
+        ('{"n_valid": 128, "windows": [1]}', "bad window record"),
+        ('{"n_valid": 128, "windows": 3}', "bad window record"),
+    ],
+)
+def test_malformed_manifest_raises_value_error(populated, payload, what):
+    manifest = populated / "manifest.json"
+    manifest.write_text(payload)
+    with pytest.raises(ValueError, match=what) as info:
+        WindowArchive(populated, n_valid=128)
+    assert str(manifest) in str(info.value)
+
+
+def test_interrupted_save_keeps_previous_manifest(populated, rng, monkeypatch):
+    # A save that dies before the replace must leave the old manifest and
+    # every window it lists loadable, and no temp file behind.
+    before = WindowArchive(populated, n_valid=128)
+    expected = [before.load(i) for i in range(len(before))]
+
+    def crash(src, dst):
+        raise OSError("simulated crash before replace")
+
+    monkeypatch.setattr("repro.traffic.archive.os.replace", crash)
+    arch = WindowArchive(populated, n_valid=128)
+    with pytest.raises(OSError, match="simulated crash"):
+        arch.append_packets(stream(256, rng))
+    monkeypatch.undo()
+
+    assert not (populated / "manifest.json.tmp").exists()
+    reopened = WindowArchive(populated, n_valid=128)
+    assert len(reopened) == len(expected)
+    for i, matrix in enumerate(expected):
+        assert reopened.load(i) == matrix
 
 
 def test_manifest_window_size_mismatch(populated):
@@ -57,7 +106,7 @@ def test_manifest_missing_field(populated):
     data = json.loads(manifest.read_text())
     del data["windows"][0]["filename"]
     manifest.write_text(json.dumps(data))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="bad window record"):
         WindowArchive(populated, n_valid=128)
 
 
