@@ -6,7 +6,7 @@ unset — or after any arm/disarm cycle — the kernels run the pristine
 code objects and the harness costs nothing.  Two checks enforce it:
 
 1. **Disabled overhead** — time a pack/sort/construct workload (the
-   exact kernels the overflow and mutate sanitizers wrap) before any
+   exact kernels the overflow sanitizer wraps) before any
    arming, again after a full arm/disarm cycle, and once more as a
    closing baseline (A-B-A: a machine that slows down over the run
    slows both baselines, so drift cannot masquerade as residue).  The

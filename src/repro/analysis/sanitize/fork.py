@@ -6,8 +6,9 @@ the task returns.  Code that "works" only because a worker mutated its
 argument is therefore a latent bug — it breaks the moment the map runs
 serially, or appears to work in the parent for the wrong reason.  This
 sanitizer checks that workers are pure: every item submitted through
-:func:`repro.parallel.pool.parallel_map` is content-fingerprinted in the
-parent before dispatch, re-fingerprinted by the worker after the task
+:func:`repro.parallel.pool.stream_map` (and so through ``parallel_map``
+and ``sharded_accumulate``) is content-fingerprinted in the parent as
+the stream pulls it, re-fingerprinted by the worker after the task
 body runs (the hash rides back alongside the result), and a mismatch is
 recorded as an RS003 trap naming the mapped function.  The serial
 fallback path runs through the same wrapper, so in-process mutation of
@@ -22,7 +23,8 @@ sentinel and always compare equal.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, List, Optional, Sequence
+from collections import deque
+from typing import Any, Callable, Deque, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -88,36 +90,46 @@ class HashedCall:
         return result, item_digest(item)
 
 
-def _checked_parallel_map(orig: Callable[..., Any]) -> Callable[..., Any]:
-    """Wrap ``parallel_map`` with the two-sided fingerprint protocol."""
+def _checked_stream_map(orig: Callable[..., Any]) -> Callable[..., Any]:
+    """Wrap ``stream_map`` with the two-sided fingerprint protocol."""
 
-    def parallel_map(
-        fn: Callable[[Any], Any], items: Sequence[Any], **kwargs: Any
-    ) -> Any:
-        items = list(items)
-        pre = [item_digest(x) for x in items]
+    def stream_map(
+        fn: Callable[[Any], Any], items: Iterable[Any], **kwargs: Any
+    ) -> Iterator[Any]:
         site = caller_site(skip_extra=("repro/parallel/",))
-        paired = orig(HashedCall(fn), items, **kwargs)
-        results = []
         fn_name = getattr(fn, "__name__", None) or type(fn).__name__
-        for i, ((result, post), before) in enumerate(zip(paired, pre)):
-            if before != post:
+        # The stream pulls items lazily and yields in item order, so the
+        # pre-dispatch digests queue up in the order results come back.
+        pre: Deque[Optional[str]] = deque()
+
+        def fingerprinted() -> Iterator[Any]:
+            for x in items:
+                pre.append(item_digest(x))
+                yield x
+
+        paired = orig(HashedCall(fn), fingerprinted(), **kwargs)
+        for i, (result, post) in enumerate(paired):
+            if pre.popleft() != post:
                 record_trap(
                     "fork",
                     f"worker mutated its input (item {i} of a "
-                    f"parallel_map over {fn_name}); under fork the write "
+                    f"stream_map over {fn_name}); under fork the write "
                     "is silently discarded in the parent",
                     site=site,
                 )
-            results.append(result)
-        return results
+            yield result
 
-    return parallel_map
+    return stream_map
 
 
 def arm() -> Callable[[], None]:
-    """Arm the fork sanitizer; returns the undo closure."""
+    """Arm the fork sanitizer; returns the undo closure.
+
+    Wraps :func:`repro.parallel.pool.stream_map`, the pool's one
+    dispatch path: ``parallel_map`` and ``sharded_accumulate`` both
+    reach the workers through it.
+    """
     from ...parallel import pool
 
-    orig = pool.parallel_map
-    return patch_everywhere(orig, _checked_parallel_map(orig))
+    orig = pool.stream_map
+    return patch_everywhere(orig, _checked_stream_map(orig))

@@ -9,10 +9,10 @@ operands that are **already** two sorted unique runs, and re-sorting
 them throws the invariant away.  This module is the fast path those
 operations share:
 
-* :func:`merge_combine` — union-combine two canonical runs in
-  ``O(m + n)`` output work plus one ``searchsorted`` of the *smaller*
-  run into the larger (``O(min·log max)``), with no argsort and an
-  ``O(n)`` short-circuit when both runs have identical keys;
+* :func:`merge_combine` — union-combine two canonical runs with one
+  *stable* sort of their concatenation: timsort finds the two ascending
+  runs and merges them in ``O(m + n)``, with an ``O(n)`` short-circuit
+  when both runs have identical keys;
 * :func:`intersect_sorted` — sorted-run intersection with indices, the
   ``np.intersect1d`` replacement for canonical operands;
 * :func:`in_sorted` — membership of queries in a sorted unique run, the
@@ -57,64 +57,6 @@ def _identical_keys(keys_a: np.ndarray, keys_b: np.ndarray) -> bool:
     return bool(np.array_equal(keys_a, keys_b))
 
 
-def _merge_into(
-    keys_s: np.ndarray,
-    vals_s: np.ndarray,
-    keys_n: np.ndarray,
-    vals_n: np.ndarray,
-    op: np.ufunc,
-    right_op: Optional[Callable[[np.ndarray], np.ndarray]],
-    b_is_needle: bool,
-) -> Run:
-    """Merge the needle run ``n`` into the stack run ``s``.
-
-    ``b_is_needle`` records which input was the right operand of the
-    original merge call so ``op``'s argument order and ``right_op``'s
-    target (b-exclusive values) stay correct under the internal swap
-    that always searches the smaller run into the larger.
-    """
-    ns = keys_s.size
-    idx = np.searchsorted(keys_s, keys_n)
-    # idx == ns means the needle exceeds every stack key, and then the
-    # clipped probe compares against the (strictly smaller) last stack
-    # key, so the clip cannot fabricate a match.
-    matched = keys_s[np.minimum(idx, ns - 1)] == keys_n
-    only = ~matched
-    idx_only = idx[only]
-    n_only = idx_only.size
-    out_n = ns + n_only
-    out_keys = np.empty(out_n, dtype=keys_s.dtype)
-    out_vals = np.empty(out_n, dtype=np.float64)
-    # Output position of stack element i: i stack elements precede it,
-    # plus every exclusive needle whose insertion point is <= i.
-    inserted_before = np.cumsum(np.bincount(idx_only, minlength=ns + 1))
-    pos_s = np.arange(ns, dtype=np.int64) + inserted_before[:ns]
-    # Output position of the j-th exclusive needle: its insertion point
-    # (stack elements before it) plus the j exclusive needles before it.
-    pos_n = idx_only + np.arange(n_only, dtype=np.int64)
-    out_keys[pos_s] = keys_s
-    out_vals[pos_s] = vals_s
-    out_keys[pos_n] = keys_n[only]
-    needle_exclusive = vals_n[only]
-    if right_op is not None and b_is_needle:
-        needle_exclusive = np.asarray(right_op(needle_exclusive), dtype=np.float64)
-    out_vals[pos_n] = needle_exclusive
-    if right_op is not None and not b_is_needle:
-        # The stack is the b operand: transform its exclusive values,
-        # i.e. every stack position no needle matched.
-        stack_exclusive = np.ones(ns, dtype=bool)
-        stack_exclusive[idx[matched]] = False
-        sx = pos_s[stack_exclusive]
-        out_vals[sx] = right_op(out_vals[sx])
-    mi = idx[matched]
-    if mi.size:
-        if b_is_needle:
-            out_vals[pos_s[mi]] = op(vals_s[mi], vals_n[matched])
-        else:
-            out_vals[pos_s[mi]] = op(vals_n[matched], vals_s[mi])
-    return out_keys, out_vals
-
-
 def merge_combine(
     keys_a: np.ndarray,
     vals_a: np.ndarray,
@@ -136,8 +78,9 @@ def merge_combine(
 
     Output arrays may alias the inputs when one run is empty or both
     runs share identical keys; canonical containers are immutable so
-    sharing is safe.  Otherwise the smaller run is always searched into
-    the larger.
+    sharing is safe.  Otherwise the concatenated runs are stable-sorted
+    (timsort merges the two ascending runs in linear time), so a shared
+    key becomes an adjacent ``(a, b)`` pair combined as ``op(a, b)``.
     """
     if keys_b.size == 0:
         inc(MERGE_FASTPATH_HITS)
@@ -148,9 +91,26 @@ def merge_combine(
     inc(MERGE_FASTPATH_HITS)
     if _identical_keys(keys_a, keys_b):
         return keys_a, np.asarray(op(vals_a, vals_b), dtype=np.float64)
-    if keys_b.size <= keys_a.size:
-        return _merge_into(keys_a, vals_a, keys_b, vals_b, op, right_op, b_is_needle=True)
-    return _merge_into(keys_b, vals_b, keys_a, vals_a, op, right_op, b_is_needle=False)
+    na = keys_a.size
+    keys = np.concatenate((keys_a, keys_b))
+    # Two canonical runs: the stable sort (timsort) gallops them together
+    # in O(n); see docs/PERFORMANCE.md.
+    order = np.argsort(keys, kind="stable")  # lint: allow-resort — O(n) run merge
+    keys = keys[order]
+    vals = np.concatenate((vals_a, vals_b), dtype=np.float64)
+    vals = vals[order]
+    # A key in both runs sorts as an adjacent (a, b) pair, a first by
+    # stability; every other key occurs once.
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if right_op is not None:
+        b_only = first & (order >= na)
+        vals[b_only] = right_op(vals[b_only])
+    del order
+    second = np.flatnonzero(~first)
+    vals[second - 1] = op(vals[second - 1], vals[second])
+    return keys[first], vals[first]
 
 
 def intersect_sorted(

@@ -5,7 +5,12 @@ with a process pool, preserving order, degrading gracefully to serial
 execution for small inputs (pool startup dwarfs the work) or when
 ``processes=1``.  Serial fallback keeps tests deterministic and makes the
 parallel path an optimization, never a semantic change — asserted by the
-test suite, which runs every consumer both ways.
+test suite, which runs every consumer both ways.  Serial and pool paths
+alike run through ``stream_map``, the one dispatch path: a generator
+yielding results in item order with a bounded number of items in
+flight, so a caller that folds as it goes
+(:func:`repro.parallel.sharded_accumulate`) never holds more than one
+wave of un-folded results.
 
 Pools are **persistent**: the first parallel call pays the worker
 startup cost, every later call of the same width reuses the warm pool
@@ -21,17 +26,31 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import os
-from multiprocessing.pool import Pool
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar, cast
+from collections import deque
+from itertools import chain, islice
+from multiprocessing.pool import AsyncResult, Pool
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TypeVar,
+    cast,
+)
 
 from ..analysis.knobs import env_int
-from ..obs.spans import TimedCall, annotate, record_span, span, trace_epoch, tracing_enabled
+from ..obs.spans import TimedCall, record_span, span, trace_epoch, tracing_enabled
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = [
     "parallel_map",
+    "stream_map",
     "cpu_count",
     "configured_processes",
     "get_pool",
@@ -132,6 +151,107 @@ def shutdown_pools() -> None:
             pass
 
 
+def _width(processes: Optional[int]) -> int:
+    """Resolved worker count: explicit, else ``REPRO_PROCESSES``, else CPUs."""
+    if processes is not None:
+        return processes
+    env_n = configured_processes()
+    return cpu_count() if env_n is None else env_n
+
+
+class _Batch:
+    """Picklable wrapper mapping ``fn`` over one dispatched batch of items."""
+
+    def __init__(self, fn: Callable[[T], R]):
+        self.fn = fn
+
+    def __call__(self, batch: List[T]) -> List[R]:
+        return [self.fn(x) for x in batch]
+
+
+def stream_map(
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    *,
+    processes: Optional[int] = None,
+    wave: Optional[int] = None,
+    min_parallel: int = 4,
+    chunksize: int = 1,
+) -> Iterator[R]:
+    """Yield ``fn(x)`` for every item, in item order, from a bounded stream.
+
+    The one dispatch path of this module (:func:`parallel_map` is
+    ``list()`` over it).  ``items`` is consumed lazily: at most ``wave``
+    items (default two pool widths) are handed to workers ahead of the
+    consumer, so no more than ``wave`` un-consumed results are ever
+    resident, however long the input.  Results are yielded in item order
+    regardless of completion order, so a consumer folding them sees the
+    same sequence for every pool width.
+
+    Runs serially (in this process, one item at a time) when the width
+    is 1 (``processes=1`` or ``REPRO_PROCESSES=0``) or the input holds
+    fewer than ``min(min_parallel, wave)`` items.  ``chunksize`` items
+    travel per inter-process message.
+    """
+    n_proc = _width(processes)
+    if wave is None:
+        wave = 2 * max(n_proc, 1)
+    if wave <= 0:
+        raise ValueError(f"wave must be positive, got {wave}")
+    if chunksize <= 0:
+        raise ValueError(f"chunksize must be positive, got {chunksize}")
+    source = iter(items)
+    enough = min(min_parallel, wave)
+    head = list(islice(source, enough))
+    if n_proc <= 1 or len(head) < enough:
+        with span("parallel_map", mode="serial") as s:
+            n = 0
+            # lint: allow-loop — one call per work item, not per entry
+            for x in chain(head, source):
+                yield fn(x)
+                n += 1
+            s.set(items=n)
+        return
+    pool = get_pool(n_proc)
+    fork = _context().get_start_method() == "fork"
+    timed = tracing_enabled()
+    # Workers time each item (TimedCall); the parent re-ingests the
+    # measurements as child spans of this parallel_map span.  On fork
+    # pools the worker's perf_counter shares the parent clock, so the
+    # re-anchored start times place items on the real timeline; on
+    # spawn pools only durations are trustworthy.
+    task = _Batch(TimedCall(fn) if timed else fn)
+    source = chain(head, source)
+    pending: Deque[AsyncResult] = deque()
+    in_flight = n = 0
+    with span("parallel_map", mode="pool") as s:
+        # lint: allow-loop — one iteration per dispatched batch
+        while True:
+            while in_flight < wave:
+                batch = list(islice(source, min(chunksize, wave - in_flight)))
+                if not batch:
+                    break
+                pending.append(pool.apply_async(task, (batch,)))
+                in_flight += len(batch)
+            if not pending:
+                break
+            results = pending.popleft().get()
+            in_flight -= len(results)
+            # lint: allow-loop — one iteration per work item
+            for result in results:
+                if timed:
+                    result, (t0_abs, wall_s, cpu_s) = result
+                    record_span(
+                        "pool_task",
+                        wall_s,
+                        cpu_s,
+                        t_start=(t0_abs - trace_epoch()) if fork else None,
+                    )
+                yield cast("R", result)
+                n += 1
+        s.set(items=n, processes=n_proc, chunksize=chunksize, wave=wave)
+
+
 def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -141,6 +261,9 @@ def parallel_map(
     chunksize: Optional[int] = None,
 ) -> List[R]:
     """Map ``fn`` over ``items``, in processes when it pays off.
+
+    ``list()`` over :func:`stream_map` with every item in flight at once
+    (the whole result list is resident anyway).
 
     Parameters
     ----------
@@ -163,36 +286,15 @@ def parallel_map(
     items = list(items)
     if not items:
         return []
-    if processes is not None:
-        n_proc = processes
-    else:
-        env_n = configured_processes()
-        n_proc = cpu_count() if env_n is None else env_n
-    if n_proc <= 1 or len(items) < min_parallel:
-        with span("parallel_map", mode="serial"):
-            annotate(items=len(items))
-            return [fn(x) for x in items]
     if chunksize is None:
-        chunksize = max(1, len(items) // (n_proc * 4))
-    pool = get_pool(n_proc)
-    fork = _context().get_start_method() == "fork"
-    with span("parallel_map", mode="pool"):
-        annotate(items=len(items), processes=n_proc, chunksize=chunksize)
-        if not tracing_enabled():
-            return pool.map(fn, items, chunksize=chunksize)
-        # Workers time each item (TimedCall); the parent re-ingests the
-        # measurements as child spans of this parallel_map span.  On fork
-        # pools the worker's perf_counter shares the parent clock, so the
-        # re-anchored start times place items on the real timeline; on
-        # spawn pools only durations are trustworthy.
-        timed = pool.map(TimedCall(fn), items, chunksize=chunksize)
-        results: List[R] = []
-        for result, (t0_abs, wall_s, cpu_s) in timed:
-            record_span(
-                "pool_task",
-                wall_s,
-                cpu_s,
-                t_start=(t0_abs - trace_epoch()) if fork else None,
-            )
-            results.append(cast("R", result))
-        return results
+        chunksize = max(1, len(items) // (max(_width(processes), 1) * 4))
+    return list(
+        stream_map(
+            fn,
+            items,
+            processes=processes,
+            wave=len(items),
+            min_parallel=min_parallel,
+            chunksize=chunksize,
+        )
+    )

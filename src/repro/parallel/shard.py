@@ -10,13 +10,17 @@ results fold in deterministic item order into a **budgeted**
 beyond the ``REPRO_MEM_BUDGET`` ceiling spill to columnar run files
 (:mod:`repro.hypersparse.spill`).
 
-Work is dispatched in bounded *waves* so at most one wave of un-folded
-worker results is resident at a time — without the waves, a 2^13-item
-map would materialize every sub-matrix before the first fold.  The fold
-order depends only on the item order (never on worker count or
-completion order), so results are reproducible across pool widths, and
-bit-identical between the budgeted and unbudgeted paths (the ladder's
-merge tree is residence-independent; see ``docs/PERFORMANCE.md``).
+Work is dispatched through one bounded, in-order stream
+(:func:`~repro.parallel.pool.stream_map`): at most ``wave`` items are
+handed to workers ahead of the fold, so at most ``wave`` un-folded
+worker results are resident at any time — without the bound, a
+2^13-item map would materialize every sub-matrix before the first fold.
+While the parent folds one result, the workers are already computing
+the next ones.  The fold order depends only on the item order (never on
+worker count or completion order), so results are reproducible across
+pool widths, and bit-identical between the budgeted and unbudgeted
+paths (the ladder's merge tree is residence-independent; see
+``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from ..hypersparse import HierarchicalMatrix, HyperSparseMatrix
 from ..hypersparse.spill import SpillStore
 from ..obs.metrics import PEAK_RSS_BYTES, set_gauge
 from ..obs.spans import annotate, span
-from .pool import cpu_count, parallel_map
+from .pool import stream_map
 
 __all__ = ["sharded_accumulate", "sum_archive", "update_peak_rss"]
 
@@ -58,11 +62,14 @@ def sharded_accumulate(
 
     ``worker`` is a picklable callable returning one
     :class:`~repro.hypersparse.coo.HyperSparseMatrix` per item.  Items
-    are dispatched in waves of ``wave`` (default: four pool widths) via
-    :func:`~repro.parallel.pool.parallel_map`; each wave's results are
-    folded *in item order* into the returned accumulator, so the merge
-    tree — and therefore the float bit pattern — is independent of the
-    worker count and of completion order.
+    are pulled lazily and streamed through
+    :func:`~repro.parallel.pool.stream_map` with at most ``wave``
+    (default: two pool widths; ``ValueError`` unless positive)
+    dispatched ahead of the fold.  Results are folded *in item order*
+    into the returned accumulator, so the merge tree — and therefore the
+    float bit pattern — is independent of the worker count, of ``wave``
+    and of completion order.  The peak-RSS gauge is sampled after every
+    folded result.
 
     Returns the :class:`HierarchicalMatrix` so the caller chooses the
     finalization: :meth:`~repro.hypersparse.hierarchical
@@ -70,25 +77,18 @@ def sharded_accumulate(
     :meth:`~repro.hypersparse.hierarchical.HierarchicalMatrix
     .collapse_to_disk` when it may not.
     """
-    items = list(items)
-    if wave is None:
-        width = processes if processes is not None else cpu_count()
-        wave = max(4 * max(width, 1), 16)
-    if wave <= 0:
-        raise ValueError("wave must be positive")
     acc = HierarchicalMatrix(
         shape=shape, cutoff=cutoff, budget=mem_budget, spill=spill
     )
     with span("sharded_accumulate"):
-        annotate(items=len(items), wave=wave)
-        # lint: allow-loop — iterates O(items / wave) dispatch waves
-        for lo in range(0, len(items), wave):
-            results = parallel_map(
-                worker, items[lo : lo + wave], processes=processes
-            )
-            for matrix in results:
-                acc.insert_matrix(matrix)
+        folded = 0
+        stream = stream_map(worker, items, processes=processes, wave=wave)
+        # lint: allow-loop — one fold per worker result, not per entry
+        for matrix in stream:
+            acc.insert_matrix(matrix)
             update_peak_rss()
+            folded += 1
+        annotate(items=folded)
     return acc
 
 

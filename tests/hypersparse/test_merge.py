@@ -8,8 +8,13 @@ generated with :mod:`repro.rand` counter-mode hashing so every case is
 seeded and order-independent.
 """
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.contracts import debug_invariants
 from repro.hypersparse import HierarchicalMatrix, HyperSparseMatrix
@@ -309,3 +314,97 @@ class TestLazyKeyCache:
         assert dup == m
         assert dup.keys is not m.keys
         assert np.array_equal(dup.keys, m.keys)
+
+
+# -- property: merge_combine against an independent unique-and-fold ----------
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+# Bounded so no sum or difference overflows (the overflow sanitizer
+# watches this suite in CI).
+_FINITE = st.floats(min_value=-1e300, max_value=1e300, width=64)
+
+
+def _unique_fold_reference(ka, va, kb, vb, op, right_op):
+    """``np.unique`` with inverse, then fold a's values, then b's, by ``op``."""
+    keys, inverse = np.unique(np.concatenate([ka, kb]), return_inverse=True)
+    ia, ib = inverse[: ka.size], inverse[ka.size :]
+    vals = np.zeros(keys.size, dtype=np.float64)
+    seen = np.zeros(keys.size, dtype=bool)
+    vals[ia] = va
+    seen[ia] = True
+    matched = seen[ib]
+    op.at(vals, ib[matched], vb[matched])
+    exclusive = np.asarray(vb[~matched], dtype=np.float64)
+    vals[ib[~matched]] = exclusive if right_op is None else right_op(exclusive)
+    return keys, vals
+
+
+@st.composite
+def run_pairs(draw):
+    """Two canonical uint64 runs in one of the named overlap shapes."""
+    shape = draw(st.sampled_from(["empty", "one", "disjoint", "identical", "interleaved"]))
+    pool = np.array(
+        sorted(draw(st.sets(_U64, min_size=0 if shape == "empty" else 1, max_size=60))),
+        dtype=np.uint64,
+    )
+    if shape == "empty":
+        # At most one run holds keys.
+        filled = draw(st.sampled_from(["a", "b", None]))
+        in_a = np.full(pool.size, filled == "a")
+        in_b = np.full(pool.size, filled == "b")
+    elif shape == "one":
+        pool = pool[:1]
+        in_a = np.ones(1, dtype=bool)
+        in_b = np.array([draw(st.booleans())])
+        if draw(st.booleans()):
+            in_a, in_b = in_b, in_a
+    elif shape == "disjoint":
+        in_a = np.array(draw(st.lists(st.booleans(), min_size=pool.size, max_size=pool.size)), dtype=bool)
+        in_b = ~in_a
+    elif shape == "identical":
+        in_a = in_b = np.ones(pool.size, dtype=bool)
+    else:
+        # Each key lands in a only, b only, or both.
+        where = np.array(
+            draw(st.lists(st.sampled_from([1, 2, 3]), min_size=pool.size, max_size=pool.size)),
+            dtype=np.int64,
+        )
+        in_a, in_b = (where & 1) > 0, (where & 2) > 0
+    ka, kb = pool[in_a], pool[in_b]
+    va = np.array(draw(st.lists(_FINITE, min_size=ka.size, max_size=ka.size)), dtype=np.float64)
+    vb = np.array(draw(st.lists(_FINITE, min_size=kb.size, max_size=kb.size)), dtype=np.float64)
+    return ka, va, kb, vb
+
+
+def _mapped(arr, root, name):
+    """A read-only memmap holding ``arr`` (empty arrays cannot be mapped)."""
+    if arr.size == 0:
+        return arr
+    path = os.path.join(root, name)
+    arr.tofile(path)
+    return np.memmap(path, dtype=arr.dtype, mode="r", shape=arr.shape)
+
+
+class TestMergeCombineProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pair=run_pairs(),
+        op=st.sampled_from([np.add, np.subtract, np.maximum]),
+        right_op=st.sampled_from([None, np.negative]),
+        memmap=st.booleans(),
+    )
+    def test_matches_unique_fold_reference(self, pair, op, right_op, memmap):
+        ka, va, kb, vb = pair
+        rk, rv = _unique_fold_reference(ka, va, kb, vb, op, right_op)
+        with tempfile.TemporaryDirectory() as root:
+            if memmap:
+                ka, va, kb, vb = (
+                    _mapped(arr, root, name)
+                    for arr, name in zip((ka, va, kb, vb), ("ka", "va", "kb", "vb"))
+                )
+            keys, vals = merge_combine(ka, va, kb, vb, op, right_op=right_op)
+            assert keys.dtype == np.uint64
+            assert np.array_equal(np.asarray(keys), rk)
+            assert np.array_equal(
+                np.asarray(vals, dtype=np.float64).view(np.uint64), rv.view(np.uint64)
+            )

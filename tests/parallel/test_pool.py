@@ -1,6 +1,7 @@
 """Process-pool mapping."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.parallel import (
     get_pool,
     parallel_map,
     shutdown_pools,
+    stream_map,
 )
 
 
@@ -115,6 +117,42 @@ def test_chunksize_override():
 
 def worker_pid(_):
     return os.getpid()
+
+
+def late_square(x):
+    """Early items finish last, so completion order is not item order."""
+    time.sleep(0.02 if x % 4 == 0 else 0.0)
+    return x * x
+
+
+class TestStreamMap:
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_yields_in_item_order(self, processes):
+        out = list(stream_map(late_square, range(24), processes=processes, wave=4))
+        assert out == [x * x for x in range(24)]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("wave", [1, 3, 4])
+    def test_at_most_wave_items_ahead_of_the_consumer(self, processes, wave):
+        handed = [0]
+
+        def counted():
+            for x in range(32):
+                handed[0] += 1
+                yield x
+
+        ahead = []
+        for consumed, result in enumerate(
+            stream_map(late_square, counted(), processes=processes, wave=wave)
+        ):
+            ahead.append(handed[0] - consumed)
+            assert result == consumed * consumed
+        assert max(ahead) <= wave
+        assert handed[0] == 32
+
+    def test_invalid_wave(self):
+        with pytest.raises(ValueError):
+            list(stream_map(square, range(8), wave=0))
 
 
 class TestPersistentPool:

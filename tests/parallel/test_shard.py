@@ -1,9 +1,12 @@
 """Sharded out-of-core accumulation: order-determinism and exact folds."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.hypersparse import HyperSparseMatrix
+from repro.analysis.sanitize.runtime import sanitizers, take_traps
+from repro.hypersparse import HierarchicalMatrix, HyperSparseMatrix
 from repro.hypersparse.spill import SpillStore
 from repro.obs.metrics import (
     PEAK_RSS_BYTES,
@@ -25,6 +28,27 @@ def chunk_matrix(seed):
     cols = rng.integers(0, SHAPE[1], 500)
     vals = rng.random(500)
     return HyperSparseMatrix(rows, cols, vals, shape=SHAPE)
+
+
+def crowded_matrix(seed):
+    """Picklable worker: float values on a 32x32 corner of the plane.
+
+    Items share keys, so the float sums depend on the fold order; early
+    items sleep, so a pool finishes them after later ones.
+    """
+    time.sleep(0.02 if seed % 4 == 0 else 0.0)
+    rng = np.random.default_rng((78, seed))
+    rows = rng.integers(0, 32, 200)
+    cols = rng.integers(0, 32, 200)
+    return HyperSparseMatrix(rows, cols, rng.random(200), shape=SHAPE)
+
+
+def poke_item(item):
+    """Picklable worker that writes into one of its ndarray inputs."""
+    i = int(item[0])
+    if i == 5:
+        item[1] = 1.0
+    return HyperSparseMatrix(np.array([i]), np.array([i]), shape=SHAPE)
 
 
 def reference_total(items):
@@ -62,6 +86,76 @@ class TestShardedAccumulate:
         ref = self.accumulate(processes=1)
         assert_bit_identical(self.accumulate(processes=2), ref)
         assert_bit_identical(self.accumulate(processes=1, wave=5), ref)
+
+    def test_fold_order_is_item_order(self):
+        """Out-of-order completion still folds in item order.
+
+        Float sums over shared keys are bit-identical for every width.
+        """
+
+        def fold(processes):
+            acc = sharded_accumulate(
+                crowded_matrix,
+                range(16),
+                shape=SHAPE,
+                cutoff=64,
+                processes=processes,
+                wave=4,
+            )
+            try:
+                return acc.total()
+            finally:
+                acc.close()
+
+        serial = fold(1)
+        assert serial.nnz < 16 * 200  # real duplicate keys across items
+        assert_bit_identical(fold(2), serial)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("wave", [1, 3])
+    def test_at_most_wave_items_ahead_of_the_fold(self, monkeypatch, processes, wave):
+        handed = [0]
+        folded = [0]
+        ahead = []
+
+        def counted():
+            for it in self.ITEMS:
+                handed[0] += 1
+                yield it
+
+        insert = HierarchicalMatrix.insert_matrix
+
+        def counting_insert(acc, matrix):
+            ahead.append(handed[0] - folded[0])
+            insert(acc, matrix)
+            folded[0] += 1
+
+        monkeypatch.setattr(HierarchicalMatrix, "insert_matrix", counting_insert)
+        acc = sharded_accumulate(
+            chunk_matrix,
+            counted(),
+            shape=SHAPE,
+            cutoff=256,
+            processes=processes,
+            wave=wave,
+        )
+        acc.close()
+        assert folded[0] == handed[0] == len(self.ITEMS)
+        assert max(ahead) <= wave
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_fork_sanitizer_sees_the_workers(self, processes):
+        """RS003 wraps the stream the accumulator dispatches through."""
+        items = [np.array([float(i), 0.0]) for i in range(8)]
+        take_traps()
+        with sanitizers(["fork"]):
+            acc = sharded_accumulate(
+                poke_item, items, shape=SHAPE, cutoff=256, processes=processes
+            )
+            acc.close()
+        traps = [t for t in take_traps() if t.rule_id == "RS003"]
+        assert len(traps) == 1
+        assert "item 5" in traps[0].message
 
     def test_budgeted_bit_identical(self):
         ref = self.accumulate(processes=1)
