@@ -17,6 +17,13 @@ with ``zm_alpha = 1.5`` and a rate floor far below one packet per window
 (many sources dimmer than the smallest window can resolve), sweeps the
 window size over 7 octaves, and fits the log-log slope.  Published
 measurements cluster between 0.5 and 0.7; the check asserts that band.
+
+:func:`run_out_of_core` reaches paper-scale windows the same way the
+telescope builds them: pool workers sum groups of ``2^17``-packet chunks
+and write each group sum as a scratch run, and pool tasks combine the
+runs pairwise into one run per window (:func:`assemble_window`), which
+is row-counted on disk.  The parent only schedules; peak disk is about
+twice the window.
 """
 
 from __future__ import annotations
@@ -118,9 +125,11 @@ def run(study: CorrelationStudy) -> ScalingResult:
 # window's multinomial source counts once (bit-identical to `sample`'s
 # draw — same RNG prefix), writes the per-source spec to memory-mappable
 # .npy files, and expands 2^17-packet *chunks* of the conceptual packet
-# stream in pool workers, each building one sub-matrix.  The sub-matrices
-# fold through a budgeted sharded accumulator that spills ladder levels to
-# disk above REPRO_MEM_BUDGET.  Unique-source counts (the experiment's
+# stream in pool workers.  Each worker sums a group of consecutive chunks
+# and writes the group sum as a scratch run; further pool tasks merge the
+# runs pairwise until one run holds the window, so the parent never holds
+# a sum (repro.parallel.shard).  REPRO_MEM_BUDGET caps the group size.
+# Unique-source counts (the experiment's
 # measurand) are identical to `run`'s because they depend only on the
 # shared multinomial draw, never on per-chunk destination streams.
 
@@ -197,9 +206,9 @@ def _chunk_group_sum(
 
     The paper's "every processor sums its own share": each chunk is
     built exactly as :func:`_chunk_matrix` builds it and folded in chunk
-    order through a private ladder with the parent's ``cutoff``; only
-    the group sum travels back to the parent.  Packet counts are
-    integral, so the regrouping leaves every sum exact.
+    order through a private ladder with the caller's ``cutoff``; the
+    pool task then writes the group sum as a scratch run.  Packet counts
+    are integral, so the regrouping leaves every sum exact.
     """
     acc = HierarchicalMatrix(shape=shape, cutoff=cutoff)
     try:
@@ -224,13 +233,19 @@ def assemble_window(
 ):
     """Assemble one window's traffic matrix chunk-by-chunk under a budget.
 
-    Returns the budgeted :class:`~repro.hypersparse.hierarchical
-    .HierarchicalMatrix` accumulator holding the window — call
-    ``total()`` for an in-RAM matrix or ``collapse_to_disk()`` at scales
-    where it would not fit.  Given identical chunking, the result is
-    bit-identical for every ``mem_budget`` (including ``None``): the
-    budget moves ladder levels to disk but never reorders the merge tree.
-    The caller owns the accumulator and must ``close()`` it.
+    Pool workers build groups of consecutive chunks, write each group
+    sum as a scratch run, and merge the runs pairwise in the pool
+    (:func:`~repro.parallel.shard.sharded_accumulate`).  ``mem_budget``
+    sets the group size, so a group sum fills at most a quarter of it;
+    ``cutoff`` is the level-0 capacity of each worker's ladder.
+
+    Returns a :class:`~repro.hypersparse.hierarchical.HierarchicalMatrix`
+    whose only level is the window's run — call ``total()`` for an
+    in-RAM matrix or ``collapse_to_disk()`` at scales where it would not
+    fit.  Packet counts are integral, so every sum is exact and the run
+    is byte-identical for every ``mem_budget`` (including ``None``) and
+    every ``processes``.  The caller owns the accumulator and must
+    ``close()`` it.
     """
     import shutil
     import tempfile
@@ -284,9 +299,7 @@ def assemble_window(
                 for lo in range(0, n_chunks, group)
             ),
             shape=(2**32, 2**32),
-            cutoff=cutoff,
             processes=processes,
-            mem_budget=mem_budget,
             spill=store,
         )
     finally:

@@ -107,7 +107,34 @@ class HierarchicalMatrix:
         self._levels: List[_Level] = []
         self._inserted = 0  # total triples ever inserted (for diagnostics)
         self._merges = 0  # number of level merges performed
+        self._moved = 0  # entries read by those merges
         self._spilled_levels = 0  # number of level spills performed
+
+    @classmethod
+    def of_run(
+        cls,
+        run: SpilledRun,
+        spill: SpillStore,
+        *,
+        owns_spill: bool = False,
+        inserted: int = 0,
+        merges: int = 0,
+        moved: int = 0,
+    ) -> "HierarchicalMatrix":
+        """A ladder whose only level is ``run``, a sum folded elsewhere.
+
+        The out-of-core accumulation (:func:`repro.parallel.sharded_accumulate`)
+        folds its tree in pool workers and hands the root run over this
+        way; ``inserted``, ``merges`` and ``moved`` report that fold.
+        With ``owns_spill`` the ladder removes ``spill`` on :meth:`close`.
+        """
+        acc = cls(shape=run.shape, spill=spill)
+        acc._owns_spill = owns_spill
+        acc._levels = [run]
+        acc._inserted = int(inserted)
+        acc._merges = int(merges)
+        acc._moved = int(moved)
+        return acc
 
     def _store(self) -> SpillStore:
         if self._spill is None:
@@ -139,23 +166,21 @@ class HierarchicalMatrix:
             slot = self._levels[level]
             if slot is None:
                 self._levels[level] = item
-            elif isinstance(slot, HyperSparseMatrix) and isinstance(
-                item, HyperSparseMatrix
-            ):
-                with span("hier_sum", level=level):
-                    item = slot.ewise_add(item)
-                self._levels[level] = item
-                self._merges += 1
-                inc(HIER_SUM_REDUCTIONS)
             else:
-                # At least one operand lives on disk: stream the merge
-                # through the same segment-partitioned merge_combine, so
-                # the result is bit-identical to the in-memory ewise_add.
-                with span("hier_sum", level=level, spilled=1):
-                    merged = self._disk_merge(slot, item)
-                self._levels[level] = merged
                 self._merges += 1
+                self._moved += _nnz_of(slot) + _nnz_of(item)
                 inc(HIER_SUM_REDUCTIONS)
+                if isinstance(slot, HyperSparseMatrix) and isinstance(
+                    item, HyperSparseMatrix
+                ):
+                    with span("hier_sum", level=level):
+                        self._levels[level] = slot.ewise_add(item)
+                else:
+                    # At least one operand lives on disk: stream the merge
+                    # through the same segment-partitioned merge_combine, so
+                    # the result is bit-identical to the in-memory ewise_add.
+                    with span("hier_sum", level=level, spilled=1):
+                        self._levels[level] = self._disk_merge(slot, item)
             occupant = self._levels[level]
             assert occupant is not None
             if _nnz_of(occupant) <= self.cutoff << level:
@@ -173,7 +198,7 @@ class HierarchicalMatrix:
         store = self._store()
         with store.writer(self.shape, tag="level") as w:
             merge_runs_streamed(_arrays_of(slot), _arrays_of(item), w)
-            merged = w.close()
+            merged = store.book(w.close())
         for used in (slot, item):
             if isinstance(used, SpilledRun):
                 store.remove(used)
@@ -221,6 +246,16 @@ class HierarchicalMatrix:
         return self._merges
 
     @property
+    def moved_entries(self) -> int:
+        """Entries read by those merges: the work the ladder has done.
+
+        Each merge reads both operands once, so this is the sum of their
+        stored-entry counts — an exact, host-independent work measure
+        (the hierarchical sum keeps each merge near its level's size).
+        """
+        return self._moved
+
+    @property
     def spilled_levels(self) -> int:
         """Number of level spills performed over the accumulator lifetime."""
         return self._spilled_levels
@@ -266,7 +301,12 @@ class HierarchicalMatrix:
             if len(occupied) == 1 and isinstance(occupied[0], HyperSparseMatrix):
                 inc(MATRIX_NNZ, occupied[0].nnz)
                 return occupied[0]
-            keys, vals = kway_merge([_arrays_of(m) for m in occupied])
+            if len(occupied) == 1:
+                # A lone disk run loads eagerly: the result owns its
+                # memory and outlives the run file.
+                keys, vals, _ = load_run(occupied[0].path, mapped=False)
+            else:
+                keys, vals = kway_merge([_arrays_of(m) for m in occupied])
             result = HyperSparseMatrix._from_keys(
                 np.ascontiguousarray(keys, dtype=np.uint64),
                 np.ascontiguousarray(vals, dtype=np.float64),
@@ -304,6 +344,7 @@ class HierarchicalMatrix:
         self._levels = []
         self._inserted = 0
         self._merges = 0
+        self._moved = 0
         self._spilled_levels = 0
 
     def close(self) -> None:

@@ -7,15 +7,20 @@ This module is the disk substrate that closes the gap:
 
 * a **columnar run file** — a fixed 32-byte header followed by the packed
   ``uint64`` keys and ``float64`` values of one canonical run, written
-  with chunked appends and an atomic rename so a crash can never leave a
-  half-written file under a valid name;
+  with chunked appends into ``<path>.tmp`` and an atomic rename, so a
+  crash can never leave a half-written file under a valid name.  A run
+  whose size is known at open time writes both columns in place; a
+  streamed merge, whose size is not, appends a value sidecar at close.
+  **Durable** runs (archive windows, ``write_run``'s default) fsync
+  before the rename; **scratch** runs skip it;
 * **memory-mapped loads** — a run opens as two read-only ``np.memmap``
   views, so folding a run touches only the pages the merge actually
   reads (tracked by the ``shard_bytes_mapped`` counter);
-* a :class:`SpillStore` — a directory of numbered runs used by budgeted
-  accumulators (:class:`~repro.hypersparse.hierarchical
-  .HierarchicalMatrix` with a memory budget) and the sharded driver
-  (:mod:`repro.parallel.shard`);
+* a :class:`SpillStore` — a directory of numbered scratch runs used by
+  budgeted accumulators (:class:`~repro.hypersparse.hierarchical
+  .HierarchicalMatrix` with a memory budget) and by the pool-side
+  combine tree of :mod:`repro.parallel.shard`, whose workers write runs
+  the parent then books on the spill counters (:meth:`SpillStore.book`);
 * **chunked merges** — :func:`merge_runs_streamed` combines two canonical
   runs segment by segment through :func:`~repro.hypersparse.merge
   .merge_combine`, writing the output run to disk without ever
@@ -23,7 +28,8 @@ This module is the disk substrate that closes the gap:
   smallest-first in exactly :func:`~repro.hypersparse.merge.kway_merge`
   order, so the out-of-core collapse is bit-identical to the in-memory
   one (segment boundaries partition both inputs by key value, so every
-  matched pair is combined by the same single ``np.add``).
+  matched pair is combined by the same single ``np.add``).  A fold of
+  one kept run publishes a hard link to it instead of a copy.
 
 Disk round-trips are exact — the arrays are written and mapped as raw
 little-endian bytes — so a spilled-and-reloaded run is bit-identical to
@@ -105,24 +111,37 @@ class SpilledRun:
 class ColumnarWriter:
     """Chunked writer of one columnar run file.
 
-    Keys stream into ``<path>.tmp`` and values into a sidecar; ``close``
-    concatenates the sidecar, patches the real entry count into the
-    header, fsyncs and atomically renames into place.  A crash at any
-    point leaves only ``.tmp`` droppings — a file named ``<path>`` is
-    always complete.  Use as a context manager: the ``with`` exit closes
-    on success and aborts (removing the temporaries) on error.
+    Everything streams into ``<path>.tmp``, which ``close`` renames into
+    place, so a crash at any point leaves only ``.tmp`` droppings — a
+    file named ``<path>`` is always complete.  When ``nnz`` is given at
+    open time the header is final from the start and every chunk's keys
+    and values land at their final offsets; otherwise values go to a
+    ``.vals.tmp`` sidecar that ``close`` appends after the keys.
+    ``durable`` (the default) fsyncs before the rename; scratch runs
+    that nothing reopens after a crash skip it.  Use as a context
+    manager: the ``with`` exit closes on success and aborts (removing
+    the temporaries) on error.
     """
 
-    def __init__(self, path: PathLike, shape: Tuple[int, int]):
+    def __init__(
+        self,
+        path: PathLike,
+        shape: Tuple[int, int],
+        *,
+        nnz: Optional[int] = None,
+        durable: bool = True,
+    ):
         self.path = Path(path)
         self.shape = checked_shape(shape)
         self.nnz = 0
+        self._durable = durable
+        self._expected = None if nnz is None else int(nnz)
         self._tmp = self.path.with_name(self.path.name + ".tmp")
         self._vals_tmp = self.path.with_name(self.path.name + ".vals.tmp")
         self._keys_f = open(self._tmp, "wb")
-        self._vals_f = open(self._vals_tmp, "wb")
-        # Placeholder header; the entry count is patched in close().
-        self._keys_f.write(_HEADER.pack(RUN_MAGIC, 0, *self.shape))
+        self._vals_f = None if nnz is not None else open(self._vals_tmp, "wb")
+        # With an unknown size the entry count is patched in close().
+        self._keys_f.write(_HEADER.pack(RUN_MAGIC, nnz or 0, *self.shape))
         self._closed = False
 
     def append(self, keys: np.ndarray, vals: np.ndarray) -> None:
@@ -133,26 +152,46 @@ class ColumnarWriter:
             raise ValueError("keys and vals must have identical size")
         if keys.size == 0:
             return
-        self._keys_f.write(np.ascontiguousarray(keys, dtype="<u8").tobytes())
-        self._vals_f.write(np.ascontiguousarray(vals, dtype="<f8").tobytes())
+        keys = np.ascontiguousarray(keys, dtype="<u8")
+        vals = np.ascontiguousarray(vals, dtype="<f8")
+        if self._expected is not None:
+            if self.nnz + keys.size > self._expected:
+                raise ValueError(
+                    f"run {self.path} was opened for {self._expected} entries"
+                )
+            self._keys_f.seek(RUN_HEADER_SIZE + 8 * self.nnz)
+            self._keys_f.write(keys)
+            self._keys_f.seek(RUN_HEADER_SIZE + 8 * (self._expected + self.nnz))
+            self._keys_f.write(vals)
+        else:
+            self._keys_f.write(keys)
+            self._vals_f.write(vals)
         self.nnz += int(keys.size)
 
     def close(self) -> SpilledRun:
-        """Seal the run: merge columns, patch the header, rename into place."""
+        """Seal the run: complete the file and rename it into place."""
         if self._closed:
             raise ValueError(f"writer for {self.path} is closed")
+        if self._expected is not None:
+            if self.nnz != self._expected:
+                self.abort()
+                raise ValueError(
+                    f"run {self.path} was opened for {self._expected} "
+                    f"entries but got {self.nnz}"
+                )
+        else:
+            self._vals_f.close()
+            with open(self._vals_tmp, "rb") as vf:
+                shutil.copyfileobj(vf, self._keys_f)
+            self._keys_f.seek(0)
+            self._keys_f.write(_HEADER.pack(RUN_MAGIC, self.nnz, *self.shape))
+            os.remove(self._vals_tmp)
         self._closed = True
-        self._vals_f.close()
-        with open(self._vals_tmp, "rb") as vf:
-            shutil.copyfileobj(vf, self._keys_f)
-        self._keys_f.seek(0)
-        self._keys_f.write(_HEADER.pack(RUN_MAGIC, self.nnz, *self.shape))
         self._keys_f.flush()
-        os.fsync(self._keys_f.fileno())
+        if self._durable:
+            os.fsync(self._keys_f.fileno())
         self._keys_f.close()
-        os.remove(self._vals_tmp)
         os.replace(self._tmp, self.path)
-        inc(SHARD_SPILL_BYTES, RUN_HEADER_SIZE + ENTRY_BYTES * self.nnz)
         return SpilledRun(self.path, self.nnz, self.shape)
 
     def abort(self) -> None:
@@ -161,7 +200,8 @@ class ColumnarWriter:
             return
         self._closed = True
         self._keys_f.close()
-        self._vals_f.close()
+        if self._vals_f is not None:
+            self._vals_f.close()
         for leftover in (self._tmp, self._vals_tmp):
             try:
                 os.remove(leftover)
@@ -185,9 +225,15 @@ def write_run(
     shape: Tuple[int, int],
     *,
     chunk: int = DEFAULT_MERGE_CHUNK,
+    durable: bool = True,
 ) -> SpilledRun:
-    """Write one in-memory canonical run as a columnar file (chunked)."""
-    with ColumnarWriter(path, shape) as w:
+    """Write one in-memory canonical run as a columnar file (chunked).
+
+    The entry count is known up front, so both columns are written in
+    place.  ``durable`` (the default, which archive windows rely on)
+    fsyncs the file before it is renamed into place.
+    """
+    with ColumnarWriter(path, shape, nnz=int(keys.size), durable=durable) as w:
         # lint: allow-loop — iterates O(nnz / chunk) segments, not entries
         for lo in range(0, int(keys.size), chunk):
             w.append(keys[lo : lo + chunk], vals[lo : lo + chunk])
@@ -328,7 +374,12 @@ def merge_runs_streamed(
 
 
 class SpillStore:
-    """A directory of numbered columnar runs backing budgeted accumulators.
+    """A directory of numbered scratch runs backing out-of-core folds.
+
+    Store runs are scratch: nothing reopens them after a crash, and an
+    owned store deletes them all on :meth:`close`.  They keep the
+    ``.tmp`` + ``os.replace`` publication (a file named ``<path>`` is
+    always complete) but skip the fsync that durable runs pay.
 
     Parameters
     ----------
@@ -353,6 +404,17 @@ class SpillStore:
         self._seq += 1
         return path
 
+    def book(self, run: SpilledRun) -> SpilledRun:
+        """Count one run written into the store (``shard_spills`` + bytes).
+
+        Counters do not cross process boundaries, so runs written by
+        pool workers are booked here, by the parent, from their
+        descriptors.
+        """
+        inc(SHARD_SPILLS)
+        inc(SHARD_SPILL_BYTES, run.nbytes)
+        return run
+
     def spill(
         self,
         keys: np.ndarray,
@@ -361,15 +423,14 @@ class SpillStore:
         *,
         tag: str = "run",
     ) -> SpilledRun:
-        """Write one in-memory run to the store; counts ``shard_spills``."""
+        """Write one in-memory run to the store and book it."""
         with span("spill_run", nnz=int(keys.size)):
-            run = write_run(self.next_path(tag), keys, vals, shape)
-        inc(SHARD_SPILLS)
-        return run
+            run = write_run(self.next_path(tag), keys, vals, shape, durable=False)
+        return self.book(run)
 
     def writer(self, shape: Tuple[int, int], *, tag: str = "run") -> ColumnarWriter:
-        """A chunked writer on a fresh store path (for streamed merges)."""
-        return ColumnarWriter(self.next_path(tag), shape)
+        """A chunked scratch writer on a fresh store path (streamed merges)."""
+        return ColumnarWriter(self.next_path(tag), shape, durable=False)
 
     def remove(self, run: SpilledRun) -> None:
         """Delete one run's backing file (missing files are fine)."""
@@ -423,7 +484,8 @@ def fold_runs_to_disk(
     keys and values are bit-identical to the in-memory collapse.
     Intermediate runs — and, unless ``keep_inputs`` is set, consumed
     input runs that live in the store — are deleted as soon as they are
-    folded, so peak disk stays near twice the final run size.
+    folded, so peak disk stays near twice the final run size.  A kept
+    lone input is hard-linked to a fresh store path rather than copied.
     """
     from bisect import insort
 
@@ -441,8 +503,7 @@ def fold_runs_to_disk(
             b = pending.pop(0)
             with store.writer(shape, tag="fold") as w:
                 merge_runs_streamed(_fold_arrays(a), _fold_arrays(b), w, chunk=chunk)
-                merged = w.close()
-            inc(SHARD_SPILLS)
+                merged = store.book(w.close())
             for used in (a, b):
                 if (
                     isinstance(used, SpilledRun)
@@ -454,9 +515,19 @@ def fold_runs_to_disk(
     final = pending[0]
     if isinstance(final, SpilledRun):
         if id(final) in protected:
-            # A one-run fold: copy, so the caller never aliases an input.
-            keys, vals, _ = load_run(final.path, mapped=True)
-            return write_run(store.next_path("fold"), keys, vals, shape, chunk=chunk)
+            # A one-run fold publishes the kept input under a new name.
+            # Runs are immutable once renamed into place, so a hard link
+            # shares the blocks without a copy, and either name can be
+            # unlinked without touching the other.
+            path = store.next_path("fold")
+            try:
+                os.link(final.path, path)
+            except OSError:  # no hard links on this filesystem: copy
+                keys, vals, _ = load_run(final.path, mapped=True)
+                return store.book(
+                    write_run(path, keys, vals, shape, chunk=chunk, durable=False)
+                )
+            return SpilledRun(path, final.nnz, shape)
         return final
     return store.spill(final[0], final[1], shape)
 

@@ -191,7 +191,9 @@ def stream_map(
     Runs serially (in this process, one item at a time) when the width
     is 1 (``processes=1`` or ``REPRO_PROCESSES=0``) or the input holds
     fewer than ``min(min_parallel, wave)`` items.  ``chunksize`` items
-    travel per inter-process message.
+    travel per inter-process message.  When the stream ends early (a
+    task raised, or the consumer closed it) it waits for the items
+    still in flight before it lets go, so no task outlives it.
     """
     n_proc = _width(processes)
     if wave is None:
@@ -225,30 +227,38 @@ def stream_map(
     pending: Deque[AsyncResult] = deque()
     in_flight = n = 0
     with span("parallel_map", mode="pool") as s:
-        # lint: allow-loop — one iteration per dispatched batch
-        while True:
-            while in_flight < wave:
-                batch = list(islice(source, min(chunksize, wave - in_flight)))
-                if not batch:
+        try:
+            # lint: allow-loop — one iteration per dispatched batch
+            while True:
+                while in_flight < wave:
+                    batch = list(islice(source, min(chunksize, wave - in_flight)))
+                    if not batch:
+                        break
+                    pending.append(pool.apply_async(task, (batch,)))
+                    in_flight += len(batch)
+                if not pending:
                     break
-                pending.append(pool.apply_async(task, (batch,)))
-                in_flight += len(batch)
-            if not pending:
-                break
-            results = pending.popleft().get()
-            in_flight -= len(results)
-            # lint: allow-loop — one iteration per work item
-            for result in results:
-                if timed:
-                    result, (t0_abs, wall_s, cpu_s) = result
-                    record_span(
-                        "pool_task",
-                        wall_s,
-                        cpu_s,
-                        t_start=(t0_abs - trace_epoch()) if fork else None,
-                    )
-                yield cast("R", result)
-                n += 1
+                results = pending.popleft().get()
+                in_flight -= len(results)
+                # lint: allow-loop — one iteration per work item
+                for result in results:
+                    if timed:
+                        result, (t0_abs, wall_s, cpu_s) = result
+                        record_span(
+                            "pool_task",
+                            wall_s,
+                            cpu_s,
+                            t_start=(t0_abs - trace_epoch()) if fork else None,
+                        )
+                    yield cast("R", result)
+                    n += 1
+        finally:
+            # On an error or an early close, let the batches in flight
+            # finish first: their side effects (files a task writes)
+            # never outlive the stream.
+            # lint: allow-loop — one wait per batch in flight
+            for left in pending:
+                left.wait()
         s.set(items=n, processes=n_proc, chunksize=chunksize, wave=wave)
 
 

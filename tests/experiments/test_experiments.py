@@ -48,7 +48,6 @@ _SCALE_SENSITIVE = {
     ("consistency", "the Fig 5 alpha estimate is bootstrap-stable (CI width < 1.5)"),
     ("ablation", "half norm fits the correlation tail competitively with L2"),
     ("ablation", "constant-packet windows stabilize unique-source counts"),
-    ("ablation", "hierarchical accumulation beats flat re-canonicalization"),
 }
 
 

@@ -84,13 +84,15 @@ class TestAssembleWindow:
                 **kwargs,
             )
             try:
-                return acc.total(), acc.spilled_levels
+                return acc.total(), acc.merges
             finally:
                 acc.close()
 
         ref, _ = assemble(None)
-        got, spills = assemble(8 << 10, spill_dir=tmp_path / "aw")
-        assert spills > 0, "budget never engaged; test is vacuous"
+        # The budget sets the group size: 8 KiB cuts the window into
+        # single-chunk groups whose runs the pool tree has to merge.
+        got, merges = assemble(8 << 10, spill_dir=tmp_path / "aw")
+        assert merges > 0, "budget never engaged; test is vacuous"
         assert np.array_equal(got.keys, ref.keys)
         assert np.array_equal(got.vals.view(np.uint64), ref.vals.view(np.uint64))
 

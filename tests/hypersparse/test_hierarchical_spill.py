@@ -134,3 +134,20 @@ def test_budget_from_knob(monkeypatch):
 def test_invalid_budget_rejected():
     with pytest.raises(ValueError):
         HierarchicalMatrix(SHAPE, cutoff=256, budget=0)
+
+
+def test_one_run_collapse_links_instead_of_copying():
+    acc = HierarchicalMatrix(SHAPE, cutoff=1 << 20, budget=1)
+    acc.insert([1, 2, 3], [4, 5, 6], [0.5, 1.5, 2.5])
+    try:
+        (level,) = [m for m in acc._levels if m is not None]
+        ref = acc.total()
+        run = acc.collapse_to_disk()
+        assert run.path != level.path
+        assert run.path.stat().st_ino == level.path.stat().st_ino
+        run.path.unlink()
+        keys, vals, _ = load_run(level.path)
+        assert np.array_equal(np.asarray(keys), ref.keys)
+        assert_bit_identical(acc.total(), ref)
+    finally:
+        acc.close()

@@ -308,3 +308,51 @@ class TestParseMemBudget:
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             parse_mem_budget(text)
+
+
+class TestKnownSizeWriter:
+    def test_in_place_write_is_byte_identical_and_has_no_sidecar(
+        self, tmp_path, monkeypatch
+    ):
+        keys, vals = make_run(53, 3000)
+        with ColumnarWriter(tmp_path / "side.col", SHAPE) as w:
+            w.append(keys, vals)
+            w.close()
+        opened = []
+        real_open = open
+
+        def spying_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spying_open)
+        run = write_run(tmp_path / "place.col", keys, vals, SHAPE, chunk=700)
+        monkeypatch.undo()
+        assert not any(p.endswith(".vals.tmp") for p in opened)
+        assert run.path.read_bytes() == (tmp_path / "side.col").read_bytes()
+
+    def test_short_write_is_rejected_and_leaves_nothing(self, tmp_path):
+        keys, vals = make_run(59, 100)
+        with pytest.raises(ValueError, match="opened for"):
+            with ColumnarWriter(tmp_path / "short.col", SHAPE, nnz=keys.size + 1) as w:
+                w.append(keys, vals)
+                w.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overlong_append_is_rejected(self, tmp_path):
+        keys, vals = make_run(61, 100)
+        with pytest.raises(ValueError, match="opened for"):
+            with ColumnarWriter(tmp_path / "long.col", SHAPE, nnz=10) as w:
+                w.append(keys, vals)
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_single_kept_input_link_survives_unlinking_the_input(tmp_path):
+    keys, vals = make_run(67, 400)
+    with SpillStore(tmp_path / "store") as store:
+        only = store.spill(keys, vals, SHAPE)
+        out = fold_runs_to_disk([only], store, SHAPE, keep_inputs=True)
+        assert out.path.stat().st_ino == only.path.stat().st_ino
+        store.remove(only)
+        got_k, got_v, _ = load_run(out.path)
+        assert_run_equal(got_k, got_v, keys, vals)

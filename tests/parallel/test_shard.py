@@ -1,21 +1,27 @@
 """Sharded out-of-core accumulation: order-determinism and exact folds."""
 
+import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
 
 from repro.analysis.sanitize.runtime import sanitizers, take_traps
-from repro.hypersparse import HierarchicalMatrix, HyperSparseMatrix
+from repro.hypersparse import HyperSparseMatrix
 from repro.hypersparse.spill import SpillStore
 from repro.obs.metrics import (
     PEAK_RSS_BYTES,
+    SHARD_SPILL_BYTES,
+    SHARD_SPILLS,
+    counter_value,
     enable_metrics,
     gauge,
     metrics_enabled,
     reset_metrics,
 )
-from repro.parallel import sharded_accumulate, sum_archive, update_peak_rss
+from repro.parallel import shard, sharded_accumulate, shutdown_pools, sum_archive
+from repro.parallel import update_peak_rss
 from repro.traffic import Packets, WindowArchive
 
 SHAPE = (1 << 20, 1 << 20)
@@ -51,11 +57,30 @@ def poke_item(item):
     return HyperSparseMatrix(np.array([i]), np.array([i]), shape=SHAPE)
 
 
+def failing_matrix(seed):
+    """Picklable worker that raises in the middle of the items."""
+    if seed == 5:
+        raise RuntimeError("worker failed on item 5")
+    return chunk_matrix(seed)
+
+
 def reference_total(items):
     total = HyperSparseMatrix.empty(SHAPE)
     for it in items:
         total = total.ewise_add(chunk_matrix(it))
     return total
+
+
+def tree_total(matrices):
+    """The combine tree folded in RAM: pair adjacent sums level by level.
+
+    An odd last sum is carried up unchanged, exactly as the pool does.
+    """
+    level = list(matrices)
+    while len(level) > 1:
+        merged = [a.ewise_add(b) for a, b in zip(level[0::2], level[1::2])]
+        level = merged + level[len(merged) * 2 :]
+    return level[0]
 
 
 def assert_bit_identical(a: HyperSparseMatrix, b: HyperSparseMatrix):
@@ -68,7 +93,7 @@ class TestShardedAccumulate:
 
     def accumulate(self, **kwargs):
         acc = sharded_accumulate(
-            chunk_matrix, self.ITEMS, shape=SHAPE, cutoff=256, **kwargs
+            chunk_matrix, self.ITEMS, shape=SHAPE, **kwargs
         )
         try:
             return acc.total()
@@ -98,7 +123,6 @@ class TestShardedAccumulate:
                 crowded_matrix,
                 range(16),
                 shape=SHAPE,
-                cutoff=64,
                 processes=processes,
                 wave=4,
             )
@@ -123,19 +147,19 @@ class TestShardedAccumulate:
                 handed[0] += 1
                 yield it
 
-        insert = HierarchicalMatrix.insert_matrix
+        # The fold point: the parent receives one item's run, in order.
+        leaf = shard._Tree.leaf
 
-        def counting_insert(acc, matrix):
+        def counting_leaf(tree, run):
             ahead.append(handed[0] - folded[0])
-            insert(acc, matrix)
             folded[0] += 1
+            return leaf(tree, run)
 
-        monkeypatch.setattr(HierarchicalMatrix, "insert_matrix", counting_insert)
+        monkeypatch.setattr(shard._Tree, "leaf", counting_leaf)
         acc = sharded_accumulate(
             chunk_matrix,
             counted(),
             shape=SHAPE,
-            cutoff=256,
             processes=processes,
             wave=wave,
         )
@@ -150,7 +174,7 @@ class TestShardedAccumulate:
         take_traps()
         with sanitizers(["fork"]):
             acc = sharded_accumulate(
-                poke_item, items, shape=SHAPE, cutoff=256, processes=processes
+                poke_item, items, shape=SHAPE, processes=processes
             )
             acc.close()
         traps = [t for t in take_traps() if t.rule_id == "RS003"]
@@ -158,23 +182,22 @@ class TestShardedAccumulate:
         assert "item 5" in traps[0].message
 
     def test_budgeted_bit_identical(self):
-        ref = self.accumulate(processes=1)
-        assert_bit_identical(
-            self.accumulate(processes=1, mem_budget=32 << 10), ref
-        )
+        """Every tree level lives on disk; that residence is bit-invisible.
+
+        The result equals the same tree folded in RAM, bit for bit.
+        """
+        ref = tree_total(chunk_matrix(it) for it in self.ITEMS)
+        for processes in (1, 2):
+            assert_bit_identical(self.accumulate(processes=processes), ref)
 
     def test_budget_engages(self):
-        acc = sharded_accumulate(
-            chunk_matrix,
-            self.ITEMS,
-            shape=SHAPE,
-            cutoff=256,
-            processes=1,
-            mem_budget=32 << 10,
-        )
+        """The parent holds no sum: the root is one run, all merges done."""
+        acc = sharded_accumulate(chunk_matrix, self.ITEMS, shape=SHAPE, processes=1)
         try:
-            assert acc.spilled_levels > 0
-            assert acc.mem_nbytes <= 32 << 10
+            assert acc.mem_nbytes == 0
+            assert acc.num_levels == 1 and acc.disk_nbytes > 0
+            assert acc.merges == len(self.ITEMS) - 1
+            assert acc.inserted == sum(chunk_matrix(it).nnz for it in self.ITEMS)
         finally:
             acc.close()
 
@@ -184,23 +207,21 @@ class TestShardedAccumulate:
                 chunk_matrix,
                 self.ITEMS,
                 shape=SHAPE,
-                cutoff=256,
                 processes=1,
-                mem_budget=32 << 10,
                 spill=store,
             )
-            assert any((tmp_path / "shard").iterdir())
+            # Only the root run is left; the tree deleted every input.
+            assert len(list((tmp_path / "shard").iterdir())) == 1
             acc.close()
+            assert not any((tmp_path / "shard").iterdir())
 
     def test_empty_items(self):
-        acc = sharded_accumulate(chunk_matrix, [], shape=SHAPE, cutoff=256)
+        acc = sharded_accumulate(chunk_matrix, [], shape=SHAPE)
         assert acc.total().nnz == 0
 
     def test_invalid_wave(self):
         with pytest.raises(ValueError):
-            sharded_accumulate(
-                chunk_matrix, self.ITEMS, shape=SHAPE, cutoff=256, wave=0
-            )
+            sharded_accumulate(chunk_matrix, self.ITEMS, shape=SHAPE, wave=0)
 
     def test_peak_rss_gauge_updates(self):
         was = metrics_enabled()
@@ -212,6 +233,130 @@ class TestShardedAccumulate:
         finally:
             enable_metrics(was)
             reset_metrics()
+
+
+def run_files(root):
+    """Every file under ``root`` (runs and write droppings alike)."""
+    return sorted(p.name for p in root.rglob("*") if p.is_file())
+
+
+class TestCombineTree:
+    """The pool-side tree: fixed by item order, clean on failure."""
+
+    @pytest.mark.parametrize("n_items", [16, 13, 7])
+    def test_float_sums_bit_identical_across_widths_and_waves(self, n_items):
+        ref = tree_total(crowded_matrix(i) for i in range(n_items))
+        assert ref.nnz < n_items * 200  # real duplicate keys across items
+        for processes, wave in ((1, None), (2, None), (2, 1), (2, 3), (1, 5)):
+            acc = sharded_accumulate(
+                crowded_matrix,
+                range(n_items),
+                shape=SHAPE,
+                processes=processes,
+                wave=wave,
+            )
+            try:
+                assert acc.merges == n_items - 1
+                assert_bit_identical(acc.total(), ref)
+            finally:
+                acc.close()
+
+    def test_moved_entries_count_every_merge_input(self):
+        acc = sharded_accumulate(chunk_matrix, range(3), shape=SHAPE, processes=1)
+        try:
+            nnz = [chunk_matrix(i).nnz for i in range(3)]
+            pair = chunk_matrix(0).ewise_add(chunk_matrix(1)).nnz
+            assert acc.moved_entries == nnz[0] + nnz[1] + pair + nnz[2]
+        finally:
+            acc.close()
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_worker_error_leaves_no_file(self, tmp_path, processes):
+        with SpillStore(tmp_path / "store") as store:
+            with pytest.raises(RuntimeError, match="item 5"):
+                sharded_accumulate(
+                    failing_matrix,
+                    range(12),
+                    shape=SHAPE,
+                    processes=processes,
+                    spill=store,
+                )
+            assert run_files(tmp_path / "store") == []
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_merge_error_leaves_no_file(self, tmp_path, monkeypatch, processes):
+        def broken_merge(a, b, writer, **kwargs):
+            writer.append(a[0][:1], a[1][:1])  # a partial output first
+            raise RuntimeError("merge failed")
+
+        # Workers fork from the patched parent: start a fresh pool.
+        shutdown_pools()
+        monkeypatch.setattr(shard, "merge_runs_streamed", broken_merge)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        try:
+            with pytest.raises(RuntimeError, match="merge failed"):
+                sharded_accumulate(
+                    chunk_matrix, range(12), shape=SHAPE, processes=processes
+                )
+        finally:
+            shutdown_pools()
+        # The private store went with the error, .tmp droppings and all.
+        assert run_files(tmp_path) == []
+        assert not list(tmp_path.glob("repro-spill-*"))
+
+    def test_close_removes_private_store(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        acc = sharded_accumulate(chunk_matrix, range(6), shape=SHAPE, processes=2)
+        (root,) = tmp_path.glob("repro-spill-*")
+        assert len(run_files(root)) == 1
+        acc.close()
+        assert not root.exists()
+
+    def test_parent_books_every_run(self):
+        was = metrics_enabled()
+        enable_metrics(True)
+        reset_metrics()
+        try:
+            acc = sharded_accumulate(
+                chunk_matrix, range(6), shape=SHAPE, processes=2
+            )
+            try:
+                # 6 item runs and 5 merged runs, written by the workers.
+                assert counter_value(SHARD_SPILLS) == 6 + 5
+                assert counter_value(SHARD_SPILL_BYTES) >= acc.disk_nbytes
+            finally:
+                acc.close()
+        finally:
+            enable_metrics(was)
+            reset_metrics()
+
+    def test_store_runs_skip_fsync_archive_windows_keep_it(
+        self, tmp_path, monkeypatch, rng
+    ):
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        acc = sharded_accumulate(chunk_matrix, range(6), shape=SHAPE, processes=1)
+        acc.collapse_to_disk()
+        acc.close()
+        assert synced == []
+
+        arch = WindowArchive(tmp_path / "arch", n_valid=128)
+        arch.append_packets(
+            Packets(
+                np.sort(rng.uniform(0, 100, 600)),
+                rng.integers(0, 2**32, 600),
+                rng.integers(0, 2**24, 600),
+            )
+        )
+        windows = [p.stat().st_ino for p in (tmp_path / "arch").glob("window_*.col")]
+        assert len(windows) == 4
+        assert sorted(i for i in synced if i in windows) == sorted(windows)
 
 
 class TestSumArchive:
@@ -240,16 +385,14 @@ class TestSumArchive:
                 got.vals.view(np.uint64), ref.vals.view(np.uint64)
             )
 
-    def test_budgeted_matches(self, archive):
+    def test_budgeted_matches(self, archive, tmp_path):
+        """Group sums combine as scratch runs in a caller store."""
         ref = archive.sum_windows()
-        got = sum_archive(
-            archive.root,
-            n_valid=128,
-            group=2,
-            processes=1,
-            cutoff=64,
-            mem_budget=16 << 10,
-        )
+        with SpillStore(tmp_path / "runs") as store:
+            got = sum_archive(
+                archive.root, n_valid=128, group=2, processes=1, spill=store
+            )
+            assert run_files(tmp_path / "runs") == []
         assert np.array_equal(got.keys, ref.keys)
         assert np.array_equal(got.vals.view(np.uint64), ref.vals.view(np.uint64))
 
