@@ -80,7 +80,7 @@ def test_zero_norm(window_matrix):
 
 
 def test_mxm_square():
-    """Semiring matmul on a dense-ish small graph (correlation workloads)."""
+    """Plus-times matmul on a dense-ish small graph (correlation workloads)."""
     rng = np.random.default_rng(1)
     n = 20_000
     a = HyperSparseMatrix(

@@ -1,15 +1,14 @@
 """The streaming analysis layer over 2^19 packets in 2^13-packet batches.
 
-Window analysis, online degree tracking and reservoir sampling, each run
-once over the whole stream with its result asserted.  They are not
-timed: speed is measured end to end by ``benchmarks/e2e/run.py``
-(``serve-stream`` folds through this layer).
+Window analysis runs once over the whole stream with its result
+asserted.  It is not timed: speed is measured end to end by
+``benchmarks/e2e/run.py`` (``serve-stream`` folds through this layer).
 """
 
 import numpy as np
 import pytest
 
-from repro.stream import OnlineDegreeTracker, ReservoirSampler, StreamingWindowAnalyzer
+from repro.stream import StreamingWindowAnalyzer
 from repro.traffic import Packets
 
 N = 1 << 19
@@ -33,19 +32,3 @@ def test_streaming_window_analysis(batches):
     for b in batches:
         emitted += len(analyzer.process(b))
     assert emitted == N // (1 << 16)
-
-
-def test_online_degree_tracking(batches):
-    """Exact streaming per-source counts."""
-    tracker = OnlineDegreeTracker()
-    for b in batches:
-        tracker.update(b.src)
-    assert tracker.n_keys > 0
-
-
-def test_reservoir_sampling(batches):
-    """Bounded uniform packet sampling."""
-    r = ReservoirSampler(4096, seed=1)
-    for b in batches:
-        r.update(b)
-    assert r.seen == N

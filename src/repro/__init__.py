@@ -4,7 +4,7 @@ and Outposts* (Kepner et al., IEEE IPDPS Workshops 2022).
 The package layers, bottom to top:
 
 * :mod:`repro.hypersparse` — GraphBLAS-style hypersparse matrices over the
-  IPv4 plane (sorted-COO kernels, semirings, hierarchical accumulation);
+  IPv4 plane (sorted-COO kernels, hierarchical accumulation, spill runs);
 * :mod:`repro.d4m` — D4M associative arrays with string keys and values;
 * :mod:`repro.anonymize` — CryptoPAN-style prefix-preserving anonymization
   and the paper's three trusted-sharing correlation workflows;

@@ -6,7 +6,7 @@ property of this particular tree — which modules count as hot paths
 configuration, declared in ``pyproject.toml``::
 
     [tool.repro-lint]
-    hot-modules = ["repro/hypersparse/ops.py", ...]
+    hot-modules = ["repro/hypersparse/coo.py", ...]
     canonical-scope = ["repro/hypersparse/"]
 
 Unknown keys and wrong value types are hard errors (exit 2 from the
@@ -37,7 +37,6 @@ __all__ = [
 
 #: Hot-path modules where per-entry Python loops are forbidden (RL003).
 DEFAULT_HOT_MODULES: Tuple[str, ...] = (
-    "repro/hypersparse/ops.py",
     "repro/hypersparse/coo.py",
     "repro/hypersparse/merge.py",
     "repro/d4m/ops.py",

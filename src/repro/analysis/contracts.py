@@ -251,7 +251,7 @@ def checked(kind: str = "matrix") -> Callable[[F], F]:
     predicate test, so it is safe on hot-path kernels::
 
         @checked("vector")
-        def mxv(matrix, vec, semiring=PLUS_TIMES): ...
+        def row_reduce(matrix): ...
     """
     try:
         validator = _VALIDATORS[kind]

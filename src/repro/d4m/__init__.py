@@ -15,18 +15,10 @@ inherits the vectorized triple kernels.
 
 from .assoc import Assoc
 from .ops import val2col, col2type, cat_values
-from .io import assoc_to_tsv, assoc_from_tsv
-from .store import TripleStore
-from .table import print_full, spy
 
 __all__ = [
     "Assoc",
     "val2col",
     "col2type",
     "cat_values",
-    "assoc_to_tsv",
-    "assoc_from_tsv",
-    "TripleStore",
-    "print_full",
-    "spy",
 ]

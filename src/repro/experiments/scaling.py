@@ -257,7 +257,7 @@ def assemble_window(
     spec = telescope.window_source_counts(month_time, n_valid=n_valid)
     # Drop sources the validity filter would discard, so the assembled
     # matrix's source marginal matches the filtered sample exactly.
-    keep = ~np.isin(spec.addresses, pop.legit_addresses)
+    keep = pop.valid_source_mask(spec.addresses)
     counts = spec.counts[keep]
     cum = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]

@@ -7,8 +7,8 @@ entries is vastly smaller than either dimension.  It mirrors the subset of
 the GraphBLAS used by the paper:
 
 * construction from (row, col, value) triples with duplicate accumulation,
-* element-wise algebra over semiring add/multiply operators,
-* matrix multiply over a semiring (``mxm``),
+* element-wise algebra with add/multiply operators,
+* plus-times matrix multiply (``mxm``),
 * the zero-norm ``|A|_0`` that maps every stored value to 1,
 * row/column reductions (the Table II network quantities),
 * permutation (anonymization) invariance,
@@ -21,37 +21,7 @@ sorted COO triples; no scipy.sparse matrix is ever materialized over the
 """
 
 from .coo import HyperSparseMatrix, SparseVec
-from .semiring import (
-    Semiring,
-    PLUS_TIMES,
-    MIN_PLUS,
-    MAX_PLUS,
-    PLUS_PAIR,
-    MAX_TIMES,
-    MIN_TIMES,
-    LOR_LAND,
-)
 from .hierarchical import HierarchicalMatrix
-from .ops import (
-    mxv,
-    vxm,
-    select,
-    mask,
-    complement_mask,
-    kron,
-    diag,
-    diag_extract,
-    tril,
-    triu,
-    concat_blocks,
-    split_blocks,
-)
-from .io import (
-    save_triples_npz,
-    load_triples_npz,
-    to_triples_text,
-    from_triples_text,
-)
 from .spill import (
     ColumnarWriter,
     SpilledRun,
@@ -66,31 +36,7 @@ from .spill import (
 __all__ = [
     "HyperSparseMatrix",
     "SparseVec",
-    "Semiring",
-    "PLUS_TIMES",
-    "MIN_PLUS",
-    "MAX_PLUS",
-    "PLUS_PAIR",
-    "MAX_TIMES",
-    "MIN_TIMES",
-    "LOR_LAND",
     "HierarchicalMatrix",
-    "mxv",
-    "vxm",
-    "select",
-    "mask",
-    "complement_mask",
-    "kron",
-    "diag",
-    "diag_extract",
-    "tril",
-    "triu",
-    "concat_blocks",
-    "split_blocks",
-    "save_triples_npz",
-    "load_triples_npz",
-    "to_triples_text",
-    "from_triples_text",
     "ColumnarWriter",
     "SpilledRun",
     "SpillStore",

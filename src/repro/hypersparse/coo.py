@@ -46,7 +46,6 @@ import numpy as np
 from ..analysis.contracts import check_matrix, check_vector
 from ..obs.metrics import MERGE_FASTPATH_MISSES, inc
 from .merge import in_sorted, intersect_sorted, merge_combine
-from .semiring import PLUS_TIMES, Semiring
 
 __all__ = ["HyperSparseMatrix", "SparseVec", "FrozenSlots", "IPV4_SPACE", "checked_shape"]
 
@@ -715,15 +714,12 @@ class HyperSparseMatrix(FrozenSlots):
 
     # -- matrix multiply ---------------------------------------------------------
 
-    def mxm(
-        self, other: "HyperSparseMatrix", semiring: Semiring = PLUS_TIMES
-    ) -> "HyperSparseMatrix":
-        """Sparse matrix-matrix multiply over a semiring.
+    def mxm(self, other: "HyperSparseMatrix") -> "HyperSparseMatrix":
+        """Sparse matrix-matrix multiply (plus-times).
 
         Implemented as a vectorized sort-merge join: ``self``'s columns are
         joined against ``other``'s rows with ``searchsorted``, products are
-        expanded with ``repeat``, and duplicates combined with the semiring's
-        additive monoid via ``reduceat``.
+        expanded with ``repeat``, and duplicates summed via ``reduceat``.
         """
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"inner dimensions differ: {self.shape} x {other.shape}")
@@ -752,15 +748,12 @@ class HyperSparseMatrix(FrozenSlots):
         b_index = np.repeat(lo, counts) + ramp
         out_rows = np.repeat(a_rows, counts)
         out_cols = other.cols[b_index]
-        prods = np.asarray(
-            semiring.mult(np.repeat(a_vals, counts), other.vals[b_index]),
-            dtype=np.float64,
-        )
+        prods = np.multiply(np.repeat(a_vals, counts), other.vals[b_index])
 
         # The join emits products in arbitrary key order, so this is a
         # sanctioned canonicalization (counted as a merge-fastpath miss).
         keys = _pack_keys(out_rows, out_cols, out_shape[1])
-        keys, vals = _combine_duplicates(keys, prods, semiring.add)
+        keys, vals = _combine_duplicates(keys, prods, np.add)
         return self._from_keys(keys, vals, out_shape)
 
     # -- reductions (Table II) -----------------------------------------------------

@@ -145,9 +145,15 @@ def in_sorted(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
     The ``np.isin`` replacement for sorted unique haystacks: one binary
     search per query, no sorting.  ``queries`` may be in any order.
+    Up to 64 keys, one vectorized compare per key is cheaper than a
+    binary search per query (2.2 vs 10 ms for 21 keys and 2^18 queries).
     """
-    if sorted_keys.size == 0:
-        return np.zeros(queries.shape, dtype=bool)
+    if sorted_keys.size <= 64:
+        out = np.zeros(queries.shape, dtype=bool)
+        # lint: allow-loop — iterates at most 64 haystack keys, not entries
+        for key in sorted_keys:
+            out |= queries == key
+        return out
     idx = np.searchsorted(sorted_keys, queries)
     return sorted_keys[np.minimum(idx, sorted_keys.size - 1)] == queries
 

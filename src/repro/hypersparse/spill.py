@@ -75,7 +75,7 @@ __all__ = [
 PathLike = Union[str, Path]
 
 #: File magic of a columnar run (version 2 of the archive's on-disk story;
-#: version 1 is the ``.npz`` triple format of :mod:`repro.hypersparse.io`).
+#: version 1 is the ``.npz`` triple format :mod:`repro.traffic.archive` still reads).
 RUN_MAGIC = b"RPRCOL2\n"
 
 #: Header layout: magic, nnz, nrows, ncols — all little-endian uint64.

@@ -7,22 +7,14 @@ batch substrate:
 
 * :class:`StreamingWindowAnalyzer` — consume packet batches, maintain the
   current constant-packet window's hierarchical matrix, and emit completed
-  :class:`WindowStats` the moment each window closes;
-* :class:`OnlineDegreeTracker` — exact per-source packet counts with O(1)
-  amortized batch updates and on-demand log2-binned distributions;
-* :class:`ReservoirSampler` — uniform packet sampling over unbounded
-  streams (Vitter's Algorithm R, vectorized per batch) for trace keeping.
+  :class:`WindowStats` the moment each window closes.
 
-Everything is single-pass: no component ever re-reads earlier packets.
+It is single-pass: no earlier packet is ever re-read.
 """
 
 from .analyzer import StreamingWindowAnalyzer, WindowStats
-from .degree import OnlineDegreeTracker
-from .reservoir import ReservoirSampler
 
 __all__ = [
     "StreamingWindowAnalyzer",
     "WindowStats",
-    "OnlineDegreeTracker",
-    "ReservoirSampler",
 ]

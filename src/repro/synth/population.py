@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..hypersparse.merge import in_sorted
 from ..ip import cidr_to_range
 from ..rand import hash_bernoulli, hash_uniform
 from ..stats.zipf import ZipfMandelbrot
@@ -304,6 +305,15 @@ class SourcePopulation:
             np.arange(self.noise_addresses.size),
             m,
         )
+
+    def valid_source_mask(self, sources: np.ndarray) -> np.ndarray:
+        """The telescope's validity filter: True where a packet's source is
+        not one of the legitimate senders.
+
+        Searches a sorted copy, so ``legit_addresses`` keeps the draw order
+        the telescope samples from.
+        """
+        return ~in_sorted(np.sort(self.legit_addresses), sources)
 
     def _check_month(self, month: int) -> int:
         m = int(month)

@@ -20,7 +20,6 @@ from ..hypersparse import HyperSparseMatrix
 from ..hypersparse.coo import SparseVec
 from ..obs.metrics import PACKETS_INGESTED, inc
 from ..obs.spans import annotate, traced
-from ..traffic.filter import exclude_sources
 from ..traffic.matrix import TrafficMatrixView
 from ..traffic.packet import Packets
 from .population import SourcePopulation
@@ -218,7 +217,7 @@ class TelescopeSimulator:
         times = _bursty_times(rng, t0, duration, src.size)
         raw = Packets(times, src, dst)
 
-        valid = exclude_sources(pop.legit_addresses).apply(raw)
+        valid = raw[pop.valid_source_mask(raw.src)]
         inc(PACKETS_INGESTED, len(valid))
         annotate(month=m, nv=nv, n_raw=len(raw))
         matrix = TrafficMatrixView.from_packets(

@@ -10,7 +10,9 @@ into the paper's analysis objects:
 * :class:`TrafficMatrixView` — a traffic matrix with the Fig-1 quadrant
   decomposition around an internal address block;
 * :func:`network_quantities` — every aggregate in Table II, computed with
-  the matrix formulas and invariant under anonymization.
+  the matrix formulas and invariant under anonymization;
+* :class:`WindowArchive` — the anonymized on-disk window store behind the
+  paper's ``2^17 -> 2^30`` hierarchical sums.
 """
 
 from .archive import WindowArchive, WindowRecord
@@ -18,14 +20,6 @@ from .packet import Packets
 from .window import Window, constant_packet_windows, constant_time_windows
 from .matrix import TrafficMatrixView, build_traffic_matrix, quadrant_occupancy
 from .quantities import NetworkQuantities, network_quantities
-from .filter import (
-    PacketFilter,
-    src_in_range,
-    dst_in_range,
-    protocol_is,
-    exclude_sources,
-    compose_filters,
-)
 
 __all__ = [
     "WindowArchive",
@@ -39,10 +33,4 @@ __all__ = [
     "quadrant_occupancy",
     "NetworkQuantities",
     "network_quantities",
-    "PacketFilter",
-    "src_in_range",
-    "dst_in_range",
-    "protocol_is",
-    "exclude_sources",
-    "compose_filters",
 ]

@@ -13,21 +13,17 @@ format).  Windows can be appended as packets arrive, loaded lazily by
 index or time range, and hierarchically summed into larger analysis
 matrices.
 
-Two window storage formats coexist:
+Windows are written as ``"columnar"`` files: one columnar run per
+window (:mod:`repro.hypersparse.spill`), the window's canonical packed
+keys/values written verbatim.  Loads can **memory-map** the columns
+(``load(i, mapped=True)``), so summing thousands of windows streams pages
+off disk instead of materializing every window in RAM — the substrate of
+the paper-scale out-of-core path (:mod:`repro.parallel.shard`).
 
-* ``"npz"`` — the original compressed-triple files
-  (:mod:`repro.hypersparse.io`); loading decompresses and re-sorts.
-* ``"columnar"`` — the v2 default: one columnar run file per window
-  (:mod:`repro.hypersparse.spill`), the window's canonical packed
-  keys/values written verbatim.  Loads can **memory-map** the columns
-  (``load(i, mapped=True)``), so summing thousands of windows streams
-  pages off disk instead of materializing every window in RAM — the
-  substrate of the paper-scale out-of-core path
-  (:mod:`repro.parallel.shard`).
-
-The v2 manifest still loads v1 archives (their records default to
-``"npz"`` storage), and formats may mix inside one archive — each record
-carries its own storage tag.
+v1 archives stored each window as an ``"npz"`` of compressed triples.
+The v2 manifest still loads them (their records default to ``"npz"``
+storage), and formats may mix inside one archive — each record carries
+its own storage tag — but new windows are always columnar.
 """
 
 from __future__ import annotations
@@ -40,9 +36,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from ..anonymize import CryptoPan
 from ..hypersparse import HyperSparseMatrix
-from ..hypersparse.io import load_triples_npz, save_triples_npz
 from ..hypersparse.merge import kway_merge
 from ..hypersparse.spill import load_run, write_run
 from ..obs.metrics import MATRIX_NNZ, inc
@@ -64,6 +61,13 @@ _FORMATS = ("repro-window-archive-v1", "repro-window-archive-v2")
 #: not the promised format) — `sum_windows` skips such windows with a
 #: warning; `load` raises them.
 _WINDOW_ERRORS = (OSError, ValueError, KeyError, zipfile.BadZipFile)
+
+
+def _load_npz(path: Path) -> HyperSparseMatrix:
+    """Load a v1 ``.npz`` window (its canonical rows/cols/vals/shape)."""
+    with np.load(path) as data:
+        shape = tuple(int(x) for x in data["shape"])
+        return HyperSparseMatrix(data["rows"], data["cols"], data["vals"], shape=shape)
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,6 @@ class WindowArchive:
         Optional :class:`~repro.anonymize.CryptoPan` applied to both axes
         of every matrix before it is written — archives never hold real
         addresses, matching the paper's data handling.
-    storage:
-        Format for windows written by this handle: ``"columnar"``
-        (default; memory-mappable) or ``"npz"``.  Existing windows keep
-        whatever format they were written with.
     """
 
     def __init__(
@@ -110,17 +110,13 @@ class WindowArchive:
         *,
         n_valid: int = 1 << 17,
         anonymizer: Optional[CryptoPan] = None,
-        storage: str = "columnar",
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.n_valid = int(n_valid)
         if self.n_valid <= 0:
             raise ValueError("n_valid must be positive")
-        if storage not in ("columnar", "npz"):
-            raise ValueError(f"unknown window storage format {storage!r}")
         self.anonymizer = anonymizer
-        self.storage = storage
         self._records: List[WindowRecord] = []
         self._residual = Packets.empty()
         manifest = self.root / _MANIFEST
@@ -219,14 +215,10 @@ class WindowArchive:
         matrix = build_traffic_matrix(window.packets)
         if self.anonymizer is not None:
             matrix = matrix.permute(self.anonymizer.anonymize)
-        if self.storage == "columnar":
-            filename = f"window_{index:06d}.col"
-            # write_run appends chunked and renames into place atomically,
-            # so a crash mid-write cannot leave a loadable half window.
-            write_run(self.root / filename, matrix.keys, matrix.vals, matrix.shape)
-        else:
-            filename = f"window_{index:06d}.npz"
-            save_triples_npz(matrix, self.root / filename)
+        filename = f"window_{index:06d}.col"
+        # write_run appends chunked and renames into place atomically,
+        # so a crash mid-write cannot leave a loadable half window.
+        write_run(self.root / filename, matrix.keys, matrix.vals, matrix.shape)
         self._records.append(
             WindowRecord(
                 index=index,
@@ -235,7 +227,7 @@ class WindowArchive:
                 end_time=window.end_time,
                 n_packets=window.n_packets,
                 anonymized=self.anonymizer is not None,
-                storage=self.storage,
+                storage="columnar",
             )
         )
 
@@ -261,7 +253,7 @@ class WindowArchive:
         if rec.storage == "columnar":
             keys, vals, shape = load_run(self.root / rec.filename, mapped=mapped)
             return HyperSparseMatrix._from_keys(keys, vals, shape)
-        return load_triples_npz(self.root / rec.filename)
+        return _load_npz(self.root / rec.filename)
 
     def iter_matrices(self) -> Iterator[Tuple[WindowRecord, HyperSparseMatrix]]:
         """Lazily iterate (record, matrix) pairs in time order."""
@@ -278,7 +270,6 @@ class WindowArchive:
         self,
         indices: Optional[List[int]] = None,
         *,
-        cutoff: int = 1 << 16,  # kept for API compatibility; unused
         strict: bool = False,
     ) -> HyperSparseMatrix:
         """Sum archived windows into one analysis matrix, smallest first.

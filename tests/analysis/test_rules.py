@@ -93,19 +93,19 @@ class TestDtypeDiscipline:
 
 class TestEntryLoop:
     def test_flags_for_and_while_in_hot_module(self):
-        findings = run_rule("RL003", "repro/hypersparse/ops.py")
+        findings = run_rule("RL003", "repro/hypersparse/merge.py")
         assert len(findings) == 2
         kinds = {f.message.split()[1] for f in findings}
         assert kinds == {"for-loop", "while-loop"}
 
     def test_allowlist_comment_on_previous_line_suppresses(self):
-        findings = run_rule("RL003", "repro/hypersparse/ops.py")
-        source = (FIXTURES / "repro/hypersparse/ops.py").read_text().splitlines()
+        findings = run_rule("RL003", "repro/hypersparse/merge.py")
+        source = (FIXTURES / "repro/hypersparse/merge.py").read_text().splitlines()
         for line in lines_of(findings):
             assert "allow-loop" not in source[line - 2]
 
     def test_non_hot_module_ignored(self):
-        # bad_random has loops nowhere near hot paths; name is not ops/coo.
+        # bad_random has loops nowhere near hot paths; name is not merge/coo.
         assert run_rule("RL003", "repro/bad_random.py", "clean/good_module.py") == []
 
 

@@ -99,12 +99,9 @@ class TestIndexSpace:
         with pytest.raises(ValueError, match="2\\^64"):
             a.mxm(b)
 
-    def test_diag_and_hierarchical_shapes_checked(self):
+    def test_hierarchical_shape_checked(self):
         from repro.hypersparse import HierarchicalMatrix
-        from repro.hypersparse.ops import diag
 
-        with pytest.raises(ValueError):
-            diag(SparseVec([], []), 0)
         with pytest.raises(ValueError):
             HierarchicalMatrix(shape=(2**40, 2**40))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.d4m import Assoc
-from repro.hypersparse import HyperSparseMatrix, SparseVec, diag_extract, mxv
+from repro.hypersparse import HyperSparseMatrix, SparseVec
 from repro.traffic.quantities import link_packets
 
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -64,8 +64,6 @@ CASES = {
     "vector.row_degree": lambda: _vector_buffers(_matrix().row_degree()),
     "vector.zero_norm": lambda: _vector_buffers(_matrix().row_reduce().zero_norm()),
     "vector.scaled": lambda: _vector_buffers(_matrix().row_reduce() * 2.0),
-    "vector.mxv": lambda: _vector_buffers(mxv(_matrix(), _matrix().row_reduce())),
-    "vector.diag_extract": lambda: _vector_buffers(diag_extract(_matrix())),
     "vector.link_packets": lambda: _vector_buffers(link_packets(_matrix())),
     "vector.copy": lambda: _vector_buffers(_matrix().row_reduce().copy()),
     "vector.pickle": lambda: _vector_buffers(_roundtrip(_matrix().row_reduce())),

@@ -32,6 +32,15 @@ class TestAddresses:
         )
         assert np.unique(merged).size == merged.size
 
+    def test_validity_filter_drops_exactly_the_legit_senders(self, pop):
+        drawn = pop.legit_addresses.copy()
+        sources = np.concatenate([pop.legit_addresses[::-1], pop.addresses])
+        keep = pop.valid_source_mask(sources)
+        n_legit = pop.legit_addresses.size
+        assert not np.any(keep[:n_legit]) and np.all(keep[n_legit:])
+        # The telescope draws legit packets from this order.
+        assert np.array_equal(pop.legit_addresses, drawn)
+
     def test_sensors_inside_block(self, pop):
         lo, hi = cidr_to_range(pop.config.sensor_block)
         assert np.all((pop.sensor_addresses >= lo) & (pop.sensor_addresses < hi))

@@ -11,7 +11,7 @@ EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
 
 
 def test_examples_found():
-    assert len(EXAMPLES) == 7
+    assert len(EXAMPLES) == 5
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.hypersparse.io import save_triples_npz
 from repro.traffic import Packets, WindowArchive, build_traffic_matrix
 
 N_VALID = 128
@@ -28,14 +27,25 @@ def fill(root, rng, n=1500, **kwargs):
 def make_v1_archive(root, rng, windows=4):
     """A v1 archive as the previous release wrote it: npz files and a
     manifest without format/storage fields."""
-    arch = fill(root, rng, n=windows * N_VALID, storage="npz")
+    arch = fill(root, rng, n=windows * N_VALID)
     manifest = root / "manifest.json"
     data = json.loads(manifest.read_text())
     data["format"] = "repro-window-archive-v1"
-    for rec in data["windows"]:
+    for i, rec in enumerate(data["windows"]):
+        m = arch.load(i)
+        (root / rec["filename"]).unlink()
+        rec["filename"] = f"window_{i:06d}.npz"
+        np.savez_compressed(
+            root / rec["filename"],
+            rows=m.rows,
+            cols=m.cols,
+            vals=m.vals,
+            shape=np.asarray(m.shape, dtype=np.uint64),
+        )
         del rec["storage"]
     manifest.write_text(json.dumps(data))
-    return arch
+    # The old handle's records name the replaced columnar files.
+    return WindowArchive(root, n_valid=N_VALID)
 
 
 class TestMigration:
